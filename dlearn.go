@@ -40,10 +40,6 @@
 //	eng := dlearn.New(dlearn.WithThreads(8), dlearn.WithSeed(1))
 //	def, report, err := eng.Learn(ctx, problem)
 //
-// The free functions Learn, LearnModel and RunBaseline mirror the seed
-// release's one-shot facade; they are deprecated wrappers over a
-// throwaway Engine and remain only so existing callers compile.
-//
 // Under the hood the package fronts the internal packages: the in-memory
 // relational engine, the similarity operator, the constraint and repair
 // machinery, the θ-subsumption engine, the covering learner, the
@@ -54,8 +50,6 @@
 package dlearn
 
 import (
-	"context"
-
 	"dlearn/internal/baseline"
 	"dlearn/internal/bench"
 	"dlearn/internal/constraints"
@@ -190,34 +184,12 @@ func NewCFD(name, rel string, lhs []string, rhs string, pattern map[string]strin
 	return constraints.NewCFD(name, rel, lhs, rhs, pattern)
 }
 
-// Learning: the deprecated one-shot facade.
+// Configuration.
 
 // DefaultConfig returns the learner configuration mirroring the paper's
 // experimental setup. Prefer New with functional options; DefaultConfig
 // remains for callers that assemble a Config for WithConfig.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// Learn runs DLearn on the problem and returns the learned definition.
-//
-// Deprecated: use New(...).Learn(ctx, &p), which supports cancellation,
-// deadlines and observers.
-func Learn(p Problem, cfg Config) (*Definition, *Report, error) {
-	return New(WithConfig(cfg)).Learn(context.Background(), &p)
-}
-
-// LearnModel learns a definition and wraps it in a Model for prediction.
-//
-// Deprecated: use New(...).LearnModel(ctx, &p).
-func LearnModel(p Problem, cfg Config) (*Model, *Report, error) {
-	return New(WithConfig(cfg)).LearnModel(context.Background(), &p)
-}
-
-// RunBaseline learns with one of the paper's systems (DLearn or a baseline).
-//
-// Deprecated: use New(...).RunBaseline(ctx, system, &p).
-func RunBaseline(system System, p Problem, cfg Config) (*Definition, *Model, *Report, error) {
-	return New(WithConfig(cfg)).RunBaseline(context.Background(), system, &p)
-}
 
 // Evaluation.
 

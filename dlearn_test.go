@@ -1,6 +1,7 @@
 package dlearn_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func tinyConfig() dlearn.Config {
 
 func TestPublicAPILearn(t *testing.T) {
 	p := buildTinyProblem()
-	def, report, err := dlearn.Learn(p, tinyConfig())
+	def, report, err := dlearn.New(dlearn.WithConfig(tinyConfig())).Learn(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestPublicAPILearn(t *testing.T) {
 
 func TestPublicAPIModelAndEvaluation(t *testing.T) {
 	p := buildTinyProblem()
-	model, _, err := dlearn.LearnModel(p, tinyConfig())
+	model, _, err := dlearn.New(dlearn.WithConfig(tinyConfig())).LearnModel(context.Background(), &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPublicAPIModelAndEvaluation(t *testing.T) {
 
 func TestPublicAPIBaselines(t *testing.T) {
 	p := buildTinyProblem()
-	def, model, report, err := dlearn.RunBaseline(dlearn.CastorNoMD, p, tinyConfig())
+	def, model, report, err := dlearn.New(dlearn.WithConfig(tinyConfig())).RunBaseline(context.Background(), dlearn.CastorNoMD, &p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,6 @@ type Result struct {
 	Report     *core.Report
 }
 
-// Run learns with the given system over the problem without cancellation.
-//
-// Deprecated: use RunContext, which honours deadlines and cancellation.
-func Run(system System, p core.Problem, cfg core.Config) (*Result, error) {
-	return RunContext(context.Background(), system, p, cfg)
-}
-
 // RunContext learns with the given system over the problem. The
 // configuration is adjusted per system; cfg.BottomClause.KM, Iterations,
 // SampleSize and the thresholds are honoured for all of them.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/core"
@@ -41,7 +42,7 @@ func testConfig() core.Config {
 // concept at all).
 func trainF1(t *testing.T, system System, ds *datagen.Dataset) float64 {
 	t.Helper()
-	res, err := Run(system, ds.Problem, testConfig())
+	res, err := RunContext(context.Background(), system, ds.Problem, testConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", system, err)
 	}
@@ -107,7 +108,7 @@ func TestDLearnCFDAndRepairedRun(t *testing.T) {
 
 func TestRunUnknownSystem(t *testing.T) {
 	ds := movieDataset(t, 0)
-	if _, err := Run(System("bogus"), ds.Problem, testConfig()); err == nil {
+	if _, err := RunContext(context.Background(), System("bogus"), ds.Problem, testConfig()); err == nil {
 		t.Fatal("unknown system must be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package bottomclause
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/constraints"
@@ -127,7 +128,7 @@ func TestBottomClauseCoversItsExample(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch := subsumption.New(subsumption.Options{})
-		if ok, _ := ch.Subsumes(c, g); !ok {
+		if ok, _, _ := subsumption.CompileCandidate(c).Probe(context.Background(), ch.Prepare(g), subsumption.ProbeOptions{}); !ok {
 			t.Fatalf("bottom clause (useCFDs=%v) does not cover its own example:\nC = %v\nG = %v", useCFDs, c, g)
 		}
 	}

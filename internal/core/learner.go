@@ -271,13 +271,6 @@ func NewLearner(cfg Config) *Learner {
 // Config returns the learner configuration.
 func (l *Learner) Config() Config { return l.cfg }
 
-// Learn runs the covering algorithm without cancellation.
-//
-// Deprecated: use LearnContext, which honours deadlines and cancellation.
-func (l *Learner) Learn(p Problem) (*logic.Definition, *Report, error) {
-	return l.LearnContext(context.Background(), p)
-}
-
 // LearnContext runs the covering algorithm and returns the learned
 // definition. The context is checked between covering iterations, between
 // hill-climbing steps, inside the parallel coverage worker pool and inside

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -109,7 +110,7 @@ func TestProblemValidate(t *testing.T) {
 func TestLearnComedyConcept(t *testing.T) {
 	p := smallMovieProblem()
 	learner := NewLearner(fastConfig())
-	def, report, err := learner.Learn(p)
+	def, report, err := learner.LearnContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestLearnWithoutMDsFailsToGeneralize(t *testing.T) {
 	p := smallMovieProblem()
 	cfg := fastConfig()
 	cfg.BottomClause.MDMode = bottomclause.MDIgnore
-	def, _, err := NewLearner(cfg).Learn(p)
+	def, _, err := NewLearner(cfg).LearnContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +180,12 @@ func TestLearnWithoutMDsFailsToGeneralize(t *testing.T) {
 
 func TestLearnModelConvenience(t *testing.T) {
 	p := smallMovieProblem()
-	model, report, err := LearnModel(p, fastConfig())
+	model, report, err := LearnModelContext(context.Background(), p, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if model.Definition.Len() == 0 || report == nil {
-		t.Fatal("LearnModel did not produce a model and report")
+		t.Fatal("LearnModelContext did not produce a model and report")
 	}
 	preds, err := model.PredictAll(p.Pos)
 	if err != nil {

@@ -71,14 +71,6 @@ func (m *Model) PredictAllContext(ctx context.Context, examples []relation.Tuple
 	return out, nil
 }
 
-// LearnModel is a convenience wrapper: learn a definition for the problem
-// and wrap it in a Model for prediction.
-//
-// Deprecated: use LearnModelContext, which honours cancellation.
-func LearnModel(p Problem, cfg Config) (*Model, *Report, error) {
-	return LearnModelContext(context.Background(), p, cfg)
-}
-
 // LearnModelContext learns a definition under the context and wraps it in a
 // Model for prediction.
 func LearnModelContext(ctx context.Context, p Problem, cfg Config) (*Model, *Report, error) {

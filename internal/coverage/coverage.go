@@ -1,10 +1,11 @@
 // Package coverage implements DLearn's coverage semantics: whether a clause
 // (possibly containing repair literals) covers a positive example under
 // Definition 3.4 or a negative example under Definition 3.6, evaluated
-// efficiently against ground bottom clauses with the procedure of
-// Section 4.3. Batch scoring over many examples runs on a worker pool, which
-// is the parallel coverage testing the paper's experiments enable with 16
-// threads.
+// efficiently against prepared ground bottom clauses with the procedure of
+// Section 4.3. Every coverage test, prediction included, probes a prepared
+// Example with a compiled candidate (see probe.go). Batch scoring over many
+// examples runs on a worker pool, which is the parallel coverage testing the
+// paper's experiments enable with 16 threads.
 package coverage
 
 import (
@@ -34,33 +35,31 @@ type Options struct {
 	// CacheShards is the number of lock stripes per memo table (rounded up
 	// to a power of two). Zero means DefaultCacheShards.
 	CacheShards int
-	// HeatDecayInterval is the period, in scored batches, of the adaptive
-	// ordering's heat decay: every HeatDecayInterval batches ScoreBatch
-	// halves the heat counters of the examples it just scored, so the
-	// hottest-first schedule tracks the recent candidates of a long-lived
-	// process instead of its whole history. Zero means
-	// DefaultHeatDecayInterval; negative disables decay (counters grow
-	// monotonically, the pre-decay behavior).
-	HeatDecayInterval int
 }
 
-// DefaultHeatDecayInterval is the default heat-decay period in batches: long
-// enough that the hottest-first ordering has stable signal within one
-// hill-climb, short enough that a server process scoring many runs forgets
-// examples that stopped closing bounds.
+// DefaultHeatDecayInterval is the period, in scored batches, of the adaptive
+// ordering's heat decay: every DefaultHeatDecayInterval batches ScoreBatch
+// halves the heat counters of the examples it just scored, so the
+// hottest-first schedule tracks the recent candidates of a long-lived
+// process instead of its whole history. Long enough that the ordering has
+// stable signal within one hill-climb, short enough that a server process
+// scoring many runs forgets examples that stopped closing bounds.
 const DefaultHeatDecayInterval = 64
 
 // Evaluator answers coverage questions. It is safe for concurrent use.
-// Repair-literal expansions, CFD-stripped projections and compiled
-// candidates are memoized in lock-striped caches (keyed by the clause's
-// canonical key), because the same ground bottom clauses are tested against
-// thousands of candidate clauses during a learning run and 16+ workers probe
+// The candidate side of every test — compiled clauses, their repair-literal
+// expansions and CFD-stripped projections — is memoized in lock-striped
+// caches (keyed by the clause's canonical key), because the same candidate
+// clauses are probed against hundreds of prepared examples during a learning
+// run (and every classified tuple during prediction) and 16+ workers probe
 // the caches at once.
 type Evaluator struct {
-	checker   *subsumption.Checker
-	repOpts   repair.Options
-	threads   int
-	candPar   int
+	checker *subsumption.Checker
+	repOpts repair.Options
+	threads int
+	candPar int
+	// heatDecay is the heat-decay period in batches, DefaultHeatDecayInterval
+	// unless a test pins it; non-positive disables decay.
 	heatDecay int
 	// noPlanner disables the θ-subsumption literal planner on every probe
 	// the evaluator issues (Options.Subsumption.DisablePlanner).
@@ -94,16 +93,12 @@ func NewEvaluator(opts Options) *Evaluator {
 	if candPar <= 0 {
 		candPar = DefaultCandidateParallelism
 	}
-	heatDecay := opts.HeatDecayInterval
-	if heatDecay == 0 {
-		heatDecay = DefaultHeatDecayInterval
-	}
 	return &Evaluator{
 		checker:    subsumption.New(opts.Subsumption),
 		repOpts:    opts.Repair,
 		threads:    threads,
 		candPar:    candPar,
-		heatDecay:  heatDecay,
+		heatDecay:  DefaultHeatDecayInterval,
 		noPlanner:  opts.Subsumption.DisablePlanner,
 		repCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		cfdCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
@@ -129,79 +124,6 @@ func (e *Evaluator) candidateCached(c logic.Clause) *subsumption.CompiledCandida
 	return e.candCache.getOrCompute(c.Key(), func() *subsumption.CompiledCandidate {
 		return subsumption.CompileCandidate(c)
 	})
-}
-
-// CoversPositive reports whether clause c covers the positive example whose
-// ground bottom clause is ge, following Section 4.3:
-//
-//  1. If c θ-subsumes ge (Definition 4.4), it covers the example
-//     (Theorem 4.6).
-//  2. Otherwise the MD-only parts c_md and ge_md are compared; if c_md does
-//     not subsume ge_md the example is not covered (Theorem 4.9 makes this
-//     exact for MD-only repair literals).
-//  3. Otherwise the CFD repair literals of both clauses are applied and the
-//     example is covered iff every resulting clause of c subsumes at least
-//     one resulting clause of ge.
-func (e *Evaluator) CoversPositive(c, ge logic.Clause) bool {
-	return e.CoversPositiveContext(context.Background(), c, ge)
-}
-
-// CoversPositiveContext is CoversPositive with cancellation; a cancelled
-// test conservatively reports no coverage (callers check ctx.Err()).
-func (e *Evaluator) CoversPositiveContext(ctx context.Context, c, ge logic.Clause) bool {
-	if ok, _ := e.checker.SubsumesContext(ctx, c, ge); ok {
-		return true
-	}
-	if !clauseHasCFDRepairs(c) && !clauseHasCFDRepairs(ge) {
-		// MD-only clauses: θ-subsumption is necessary as well as sufficient
-		// (Theorem 4.9), so the failed check is conclusive.
-		return false
-	}
-	cmd := e.stripCached(c)
-	gmd := e.stripCached(ge)
-	if ok, _ := e.checker.SubsumesContext(ctx, cmd, gmd); !ok {
-		return false
-	}
-	cExp := e.expandCFD(ctx, c)
-	geExp := e.expandCFD(ctx, ge)
-	if len(cExp) == 0 || len(geExp) == 0 {
-		return false
-	}
-	for _, ce := range cExp {
-		matched := false
-		for _, g := range geExp {
-			if ok, _ := e.checker.SubsumesContext(ctx, ce, g); ok {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return false
-		}
-	}
-	return true
-}
-
-// CoversNegative reports whether clause c covers the negative example whose
-// ground bottom clause is ge, following Definition 3.6 and Proposition 4.10:
-// c covers the example iff some repaired clause of c θ-subsumes some
-// repaired clause of ge.
-func (e *Evaluator) CoversNegative(c, ge logic.Clause) bool {
-	return e.CoversNegativeContext(context.Background(), c, ge)
-}
-
-// CoversNegativeContext is CoversNegative with cancellation.
-func (e *Evaluator) CoversNegativeContext(ctx context.Context, c, ge logic.Clause) bool {
-	cReps := e.repairedCached(ctx, c)
-	geReps := e.repairedCached(ctx, ge)
-	for _, cr := range cReps {
-		for _, gr := range geReps {
-			if ok, _ := e.checker.SubsumesPlainContext(ctx, cr, gr); ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // expandCFD applies only the CFD repair groups of a clause, leaving MD
@@ -296,74 +218,3 @@ type Score struct {
 // Value is the search score used by the learner: positives minus negatives
 // covered (Section 4.2).
 func (s Score) Value() int { return s.PositivesCovered - s.NegativesCovered }
-
-// CountPositives returns how many of the ground bottom clauses are covered
-// as positive examples, evaluating in parallel.
-func (e *Evaluator) CountPositives(c logic.Clause, grounds []logic.Clause) int {
-	return e.countParallel(grounds, func(g logic.Clause) bool { return e.CoversPositive(c, g) })
-}
-
-// CountNegatives returns how many of the ground bottom clauses are covered
-// as negative examples, evaluating in parallel.
-func (e *Evaluator) CountNegatives(c logic.Clause, grounds []logic.Clause) int {
-	return e.countParallel(grounds, func(g logic.Clause) bool { return e.CoversNegative(c, g) })
-}
-
-// ScoreClause computes the full score of a clause against positive and
-// negative ground bottom clauses.
-func (e *Evaluator) ScoreClause(c logic.Clause, pos, neg []logic.Clause) Score {
-	return Score{
-		PositivesCovered: e.CountPositives(c, pos),
-		NegativesCovered: e.CountNegatives(c, neg),
-	}
-}
-
-// CoveredPositives returns the indices of the positive ground bottom clauses
-// covered by the clause.
-func (e *Evaluator) CoveredPositives(c logic.Clause, grounds []logic.Clause) []int {
-	mask := e.maskParallel(grounds, func(g logic.Clause) bool { return e.CoversPositive(c, g) })
-	var out []int
-	for i, b := range mask {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (e *Evaluator) countParallel(grounds []logic.Clause, pred func(logic.Clause) bool) int {
-	mask := e.maskParallel(grounds, pred)
-	n := 0
-	for _, b := range mask {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-func (e *Evaluator) maskParallel(grounds []logic.Clause, pred func(logic.Clause) bool) []bool {
-	mask := make([]bool, len(grounds))
-	e.forEachParallel(context.Background(), len(grounds), func(i int) {
-		mask[i] = pred(grounds[i])
-	})
-	return mask
-}
-
-// DefinitionCovers reports whether any clause of the definition covers the
-// (positive-style) example with ground bottom clause ge. It is the
-// prediction rule used when evaluating a learned definition on test data.
-func (e *Evaluator) DefinitionCovers(d *logic.Definition, ge logic.Clause) bool {
-	return e.DefinitionCoversContext(context.Background(), d, ge)
-}
-
-// DefinitionCoversContext is DefinitionCovers with cancellation; a cancelled
-// test conservatively reports no coverage (callers check ctx.Err()).
-func (e *Evaluator) DefinitionCoversContext(ctx context.Context, d *logic.Definition, ge logic.Clause) bool {
-	for _, c := range d.Clauses {
-		if e.CoversPositiveContext(ctx, c, ge) {
-			return true
-		}
-	}
-	return false
-}

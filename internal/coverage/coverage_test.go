@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -74,8 +75,18 @@ func dramaClause() logic.Clause {
 
 func eval() *Evaluator { return NewEvaluator(Options{Threads: 2}) }
 
+// examples prepares ground bottom clauses the way the learner does.
+func examples(e *Evaluator, grounds ...logic.Clause) []*Example {
+	out := make([]*Example, len(grounds))
+	for i, g := range grounds {
+		out[i] = e.NewExample(context.Background(), g)
+	}
+	return out
+}
+
 func TestCoversPositiveMDOnly(t *testing.T) {
 	b := builderFor(false)
+	ctx := context.Background()
 	e := eval()
 	gSuperbad, err := b.GroundBottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
@@ -85,19 +96,20 @@ func TestCoversPositiveMDOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.CoversPositive(comedyClause(), gSuperbad) {
+	if !e.CoversPositiveExample(ctx, comedyClause(), examples(e, gSuperbad)[0]) {
 		t.Error("comedy clause should cover the Superbad example via the MD match")
 	}
-	if e.CoversPositive(comedyClause(), gOrphanage) {
+	if e.CoversPositiveExample(ctx, comedyClause(), examples(e, gOrphanage)[0]) {
 		t.Error("comedy clause should not cover the drama movie Orphanage")
 	}
-	if !e.CoversPositive(dramaClause(), gOrphanage) {
+	if !e.CoversPositiveExample(ctx, dramaClause(), examples(e, gOrphanage)[0]) {
 		t.Error("drama clause should cover the Orphanage example")
 	}
 }
 
 func TestCoversPositiveWithCFDRepairs(t *testing.T) {
 	b := builderFor(true)
+	ctx := context.Background()
 	e := eval()
 	g, err := b.GroundBottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
@@ -109,17 +121,87 @@ func TestCoversPositiveWithCFDRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.CoversPositive(c, g) {
+	if !e.CoversPositiveExample(ctx, c, examples(e, g)[0]) {
 		t.Error("bottom clause with CFD repair literals should cover its own example")
 	}
 	// A plain comedy clause (no CFD literals) still covers it.
-	if !e.CoversPositive(comedyClause(), g) {
+	if !e.CoversPositiveExample(ctx, comedyClause(), examples(e, g)[0]) {
 		t.Error("comedy clause should cover the Superbad example with CFD-annotated ground clause")
+	}
+}
+
+// TestCoversPositiveCFDLeg pins the third step of the Section 4.3 test,
+// where only the CFD expansions decide: the bottom clause of Superbad with
+// one CFD repair literal dropped no longer θ-subsumes the ground clause
+// directly (Definition 4.4's closure fails), yet covers it after both sides'
+// CFD repairs are applied. The prediction path must reach the same answer
+// through an example whose CFD side it prepares only then, and must never
+// build the full repair expansion.
+func TestCoversPositiveCFDLeg(t *testing.T) {
+	ctx := context.Background()
+	b := builderFor(true)
+	e := eval()
+	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c logic.Clause
+	for i, l := range bottom.Body {
+		if l.IsRepair() && l.Origin == logic.OriginCFD {
+			c = bottom.RemoveBodyAt(i)
+			break
+		}
+	}
+	if c.Length() == 0 {
+		t.Fatal("the Superbad bottom clause has no CFD repair literal")
+	}
+	def := &logic.Definition{Target: "highGrossing"}
+	def.Add(c, logic.ClauseStats{})
+	for _, tc := range []struct {
+		title string
+		want  bool
+	}{{"Superbad", true}, {"Zoolander", false}} {
+		g, err := b.GroundBottomClause(relation.NewTuple("highGrossing", tc.title))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eager := e.NewExample(ctx, g)
+		p := e.newProbe(c, false)
+		if p.subsumes(ctx, p.cand, eager.prep, false) {
+			t.Fatalf("%s: the direct probe succeeds; the CFD leg is not what decides", tc.title)
+		}
+		if got := e.CoversPositiveExample(ctx, c, eager); got != tc.want {
+			t.Errorf("%s: prepared example covered = %v, want %v", tc.title, got, tc.want)
+		}
+		if got := e.DefinitionCoversContext(ctx, def, g); got != tc.want {
+			t.Errorf("%s: DefinitionCoversContext = %v, want %v", tc.title, got, tc.want)
+		}
+		lazy := e.newPositiveExample(g)
+		e.DefinitionCoversExample(ctx, def, lazy)
+		if lazy.stripped == nil || lazy.repaired != nil {
+			t.Errorf("%s: prediction example prepared stripped=%v repaired=%d, want the CFD side only",
+				tc.title, lazy.stripped != nil, len(lazy.repaired))
+		}
+	}
+	// A clause the direct probe decides leaves the CFD side unprepared.
+	g, err := b.GroundBottomClause(relation.NewTuple("highGrossing", "Superbad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := e.newPositiveExample(g)
+	direct := &logic.Definition{Target: "highGrossing"}
+	direct.Add(bottom, logic.ClauseStats{})
+	if !e.DefinitionCoversExample(ctx, direct, lazy) {
+		t.Fatal("the bottom clause must cover its own example (Proposition 4.3)")
+	}
+	if lazy.stripped != nil || lazy.cfdExp != nil {
+		t.Error("a direct-probe cover prepared the example's CFD side")
 	}
 }
 
 func TestCoversNegative(t *testing.T) {
 	b := builderFor(false)
+	ctx := context.Background()
 	e := eval()
 	gZoolander, err := b.GroundBottomClause(relation.NewTuple("highGrossing", "Zoolander"))
 	if err != nil {
@@ -131,10 +213,10 @@ func TestCoversNegative(t *testing.T) {
 	}
 	// Zoolander is a comedy, so the comedy clause covers it as a negative
 	// example (some repair supports it); Orphanage is not.
-	if !e.CoversNegative(comedyClause(), gZoolander) {
+	if !e.CoversNegativeExample(ctx, comedyClause(), examples(e, gZoolander)[0]) {
 		t.Error("comedy clause should cover the Zoolander negative example")
 	}
-	if e.CoversNegative(comedyClause(), gOrphanage) {
+	if e.CoversNegativeExample(ctx, comedyClause(), examples(e, gOrphanage)[0]) {
 		t.Error("comedy clause should not cover the Orphanage negative example")
 	}
 }
@@ -168,6 +250,7 @@ func TestStripCFDConnected(t *testing.T) {
 
 func TestScoreAndCounts(t *testing.T) {
 	b := builderFor(false)
+	ctx := context.Background()
 	e := eval()
 	var pos, neg []logic.Clause
 	for _, title := range []string{"Superbad", "Zoolander"} {
@@ -183,24 +266,26 @@ func TestScoreAndCounts(t *testing.T) {
 	}
 	neg = append(neg, gOrphanage)
 
-	score := e.ScoreClause(comedyClause(), pos, neg)
+	posEx, negEx := examples(e, pos...), examples(e, neg...)
+	score := e.ScoreClauseExamples(ctx, comedyClause(), posEx, negEx)
 	if score.PositivesCovered != 2 || score.NegativesCovered != 0 {
 		t.Errorf("score = %+v, want 2 positives and 0 negatives", score)
 	}
 	if score.Value() != 2 {
 		t.Errorf("score value = %d", score.Value())
 	}
-	covered := e.CoveredPositives(comedyClause(), pos)
+	covered := e.CoveredPositiveExamples(ctx, comedyClause(), posEx)
 	if len(covered) != 2 {
-		t.Errorf("CoveredPositives = %v", covered)
+		t.Errorf("CoveredPositiveExamples = %v", covered)
 	}
-	if e.CountNegatives(dramaClause(), neg) != 1 {
+	if e.CountNegativeExamples(ctx, dramaClause(), negEx) != 1 {
 		t.Error("drama clause should cover the Orphanage negative example")
 	}
 }
 
 func TestDefinitionCovers(t *testing.T) {
 	b := builderFor(false)
+	ctx := context.Background()
 	e := eval()
 	def := &logic.Definition{Target: "highGrossing"}
 	def.Add(comedyClause(), logic.ClauseStats{})
@@ -212,14 +297,14 @@ func TestDefinitionCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.DefinitionCovers(def, gSuperbad) {
+	if !e.DefinitionCoversContext(ctx, def, gSuperbad) {
 		t.Error("definition should cover Superbad")
 	}
-	if e.DefinitionCovers(def, gOrphanage) {
+	if e.DefinitionCoversContext(ctx, def, gOrphanage) {
 		t.Error("definition should not cover Orphanage")
 	}
 	def.Add(dramaClause(), logic.ClauseStats{})
-	if !e.DefinitionCovers(def, gOrphanage) {
+	if !e.DefinitionCoversContext(ctx, def, gOrphanage) {
 		t.Error("after adding the drama clause the definition should cover Orphanage")
 	}
 }
@@ -235,7 +320,8 @@ func TestEvaluatorThreadsDefault(t *testing.T) {
 
 func TestEmptyGroundSets(t *testing.T) {
 	e := eval()
-	if e.CountPositives(comedyClause(), nil) != 0 || e.CountNegatives(comedyClause(), nil) != 0 {
-		t.Fatal("empty ground sets must count zero")
+	ctx := context.Background()
+	if e.CountPositiveExamples(ctx, comedyClause(), nil) != 0 || e.CountNegativeExamples(ctx, comedyClause(), nil) != 0 {
+		t.Fatal("empty example sets must count zero")
 	}
 }

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"dlearn/internal/logic"
@@ -19,11 +20,18 @@ type Example struct {
 	// Ground is the ground bottom clause of the example.
 	Ground logic.Clause
 
-	hasCFD   bool
-	prep     *subsumption.Prepared
-	stripped *subsumption.Prepared
-	cfdExp   []*subsumption.Prepared
-	repaired []*subsumption.Prepared
+	hasCFD bool
+	prep   *subsumption.Prepared
+
+	// stripped and cfdExp are the CFD side of the Section 4.3 test, which
+	// resolveCFD prepares once (see cfdSide). Learning examples resolve it
+	// up front; a classified tuple only on first use, because most
+	// predictions are decided by the direct probe.
+	cfdOnce    sync.Once
+	resolveCFD func(ctx context.Context)
+	stripped   *subsumption.Prepared
+	cfdExp     []*subsumption.Prepared
+	repaired   []*subsumption.Prepared
 
 	// heat counts the bound-closing events this example produced across the
 	// batches that scored it: misses when used as a positive, covers when
@@ -36,23 +44,47 @@ type Example struct {
 // Heat returns the example's accumulated bound-closing event count.
 func (ex *Example) Heat() int64 { return ex.heat.Load() }
 
+// cfdSide returns the example's MD-only projection and CFD expansion,
+// preparing them first if the example defers them.
+func (ex *Example) cfdSide(ctx context.Context) (*subsumption.Prepared, []*subsumption.Prepared) {
+	if ex.resolveCFD != nil {
+		ex.cfdOnce.Do(func() { ex.resolveCFD(ctx) })
+	}
+	return ex.stripped, ex.cfdExp
+}
+
 // NewExample prepares a ground bottom clause for repeated coverage tests.
 func (e *Evaluator) NewExample(ctx context.Context, ground logic.Clause) *Example {
+	ex := e.newPositiveExample(ground)
+	ex.cfdSide(ctx)
+	for _, c := range repair.RepairedClausesContext(ctx, ground, e.repOpts) {
+		ex.repaired = append(ex.repaired, e.checker.Prepare(c))
+	}
+	return ex
+}
+
+// newPositiveExample prepares a ground bottom clause for positive coverage
+// tests only: the direct-probe side now, the CFD side on first use, and
+// never the full repaired expansion that only negative coverage reads.
+func (e *Evaluator) newPositiveExample(ground logic.Clause) *Example {
 	ex := &Example{
 		Ground: ground,
 		hasCFD: clauseHasCFDRepairs(ground),
 		prep:   e.checker.Prepare(ground),
 	}
-	ex.stripped = e.checker.Prepare(StripCFDConnected(ground))
+	ex.resolveCFD = func(ctx context.Context) { e.prepareCFD(ctx, ex) }
+	return ex
+}
+
+// prepareCFD prepares the CFD side of an example: the MD-only projection
+// G_md^e and the CFD-only repair expansion.
+func (e *Evaluator) prepareCFD(ctx context.Context, ex *Example) {
+	ex.stripped = e.checker.Prepare(StripCFDConnected(ex.Ground))
 	cfdOpts := e.repOpts
 	cfdOpts.Origin = logic.OriginCFD
-	for _, c := range repair.RepairedClausesContext(ctx, ground, cfdOpts) {
+	for _, c := range repair.RepairedClausesContext(ctx, ex.Ground, cfdOpts) {
 		ex.cfdExp = append(ex.cfdExp, e.checker.Prepare(c))
 	}
-	for _, c := range repair.RepairedClausesContext(ctx, ground, e.repOpts) {
-		ex.repaired = append(ex.repaired, e.checker.Prepare(c))
-	}
-	return ex
 }
 
 // NewExamples prepares a batch of ground bottom clauses in parallel. A
@@ -86,14 +118,17 @@ func (e *Evaluator) NewExamples(ctx context.Context, grounds []logic.Clause) ([]
 	return out, ctx.Err()
 }
 
-// CoversPositiveExample is CoversPositive against a prepared example. For
-// one-shot tests the candidate is compiled directly; batch APIs resolve a
-// shared probe once and reuse its compilation across examples and workers.
+// CoversPositiveExample reports whether clause c covers the prepared
+// positive example, following Section 4.3 (see probe.coversPositive). The
+// candidate is compiled directly, for one-shot tests of clauses that will
+// not be seen again; batch APIs resolve a shared probe once and reuse its
+// compilation across examples and workers.
 func (e *Evaluator) CoversPositiveExample(ctx context.Context, c logic.Clause, ex *Example) bool {
 	return e.newProbe(c, false).coversPositive(ctx, ex)
 }
 
-// CoversNegativeExample is CoversNegative against a prepared example.
+// CoversNegativeExample reports whether clause c covers the prepared
+// negative example, following Definition 3.6 (see probe.coversNegative).
 func (e *Evaluator) CoversNegativeExample(ctx context.Context, c logic.Clause, ex *Example) bool {
 	return e.newProbe(c, false).coversNegative(ctx, ex)
 }
@@ -134,11 +169,22 @@ func (e *Evaluator) CoveredPositiveExamples(ctx context.Context, c logic.Clause,
 	return out
 }
 
+// DefinitionCoversContext reports whether any clause of the definition
+// covers the (positive-style) example whose ground bottom clause is ge. It
+// is the prediction rule used when classifying test data: the ground clause
+// is prepared once (its CFD side only if a direct probe fails) and probed by
+// each clause, whose compilation the evaluator caches across predictions. A
+// cancelled test conservatively reports no coverage (callers check
+// ctx.Err()).
+func (e *Evaluator) DefinitionCoversContext(ctx context.Context, d *logic.Definition, ge logic.Clause) bool {
+	return e.DefinitionCoversExample(ctx, d, e.newPositiveExample(ge))
+}
+
 // DefinitionCoversExample reports whether any clause of the definition
 // covers the prepared example.
 func (e *Evaluator) DefinitionCoversExample(ctx context.Context, d *logic.Definition, ex *Example) bool {
 	for _, c := range d.Clauses {
-		if e.CoversPositiveExample(ctx, c, ex) {
+		if e.newProbe(c, true).coversPositive(ctx, ex) {
 			return true
 		}
 	}

@@ -5,7 +5,15 @@ import (
 	"testing"
 )
 
-// TestHeatDecayBoundsCounters pins the heat-decay satellite: with decay
+// evaluatorWithDecay builds an evaluator whose heat-decay period is pinned:
+// non-positive disables decay.
+func evaluatorWithDecay(threads, interval int) *Evaluator {
+	e := NewEvaluator(Options{Threads: threads})
+	e.heatDecay = interval
+	return e
+}
+
+// TestHeatDecayBoundsCounters pins the heat decay: with decay
 // disabled the hit counters grow monotonically with every batch (the
 // pre-decay behavior), while a decaying evaluator halves them periodically
 // so they track recent batches instead of the whole process history.
@@ -16,7 +24,7 @@ func TestHeatDecayBoundsCounters(t *testing.T) {
 
 	// Disabled decay: the western candidate misses every positive in every
 	// batch, so heat is exactly the batch count.
-	e := NewEvaluator(Options{Threads: 1, HeatDecayInterval: -1})
+	e := evaluatorWithDecay(1, -1)
 	posEx := mustExamples(t, e, posG)
 	negEx := mustExamples(t, e, negG)
 	for r := 0; r < rounds; r++ {
@@ -31,7 +39,7 @@ func TestHeatDecayBoundsCounters(t *testing.T) {
 	// Decay every batch: each round adds one miss and then halves, so the
 	// counter can never exceed one — the long-lived process stays responsive
 	// to recent behavior instead of accumulating forever.
-	e = NewEvaluator(Options{Threads: 1, HeatDecayInterval: 1})
+	e = evaluatorWithDecay(1, 1)
 	posEx = mustExamples(t, e, posG)
 	negEx = mustExamples(t, e, negG)
 	for r := 0; r < rounds; r++ {
@@ -44,15 +52,11 @@ func TestHeatDecayBoundsCounters(t *testing.T) {
 	}
 }
 
-// TestHeatDecayDefaultInterval checks the zero value selects the default
-// period rather than disabling decay.
+// TestHeatDecayDefaultInterval checks every evaluator decays with the
+// default period.
 func TestHeatDecayDefaultInterval(t *testing.T) {
-	e := NewEvaluator(Options{})
-	if e.heatDecay != DefaultHeatDecayInterval {
+	if e := NewEvaluator(Options{}); e.heatDecay != DefaultHeatDecayInterval {
 		t.Fatalf("heatDecay = %d, want default %d", e.heatDecay, DefaultHeatDecayInterval)
-	}
-	if NewEvaluator(Options{HeatDecayInterval: -1}).heatDecay != -1 {
-		t.Fatal("negative interval must disable decay, not reset to default")
 	}
 }
 
@@ -62,8 +66,8 @@ func TestHeatDecayKeepsScoresExact(t *testing.T) {
 	ctx := context.Background()
 	_, posG, negG := benchExamples(t, 40, 6, 6)
 	cands := benchCandidates()
-	plain := NewEvaluator(Options{Threads: 2, HeatDecayInterval: -1})
-	decaying := NewEvaluator(Options{Threads: 2, HeatDecayInterval: 1})
+	plain := evaluatorWithDecay(2, -1)
+	decaying := evaluatorWithDecay(2, 1)
 	posA := mustExamples(t, plain, posG)
 	negA := mustExamples(t, plain, negG)
 	posB := mustExamples(t, decaying, posG)

@@ -54,10 +54,24 @@ func TestScoringPlannerInvariance(t *testing.T) {
 			t.Errorf("candidate %d: planner-on batch (%+v,%v) != planner-off (%+v,%v)", i, bOn, exOn, bOff, exOff)
 		}
 	}
-	rOn := on.ScoreCandidates(ctx, cands, exsOn, nil, -1<<30, 2)
-	rOff := off.ScoreCandidates(ctx, cands, exsOff, nil, -1<<30, 2)
+	// Serial scheduling makes every result field deterministic, so the
+	// whole result slice must match. In parallel the Exact flags and partial
+	// tallies of candidates overtaken mid-flight depend on scheduling by
+	// design, so only the selection the learner makes from them is pinned.
+	serialOn := NewEvaluator(Options{Threads: 1})
+	serialOff := NewEvaluator(Options{Threads: 1, Subsumption: subsumption.Options{DisablePlanner: true}})
+	rOn := serialOn.ScoreCandidates(ctx, cands, planTestExamples(t, serialOn), nil, -1<<30, 1)
+	rOff := serialOff.ScoreCandidates(ctx, cands, planTestExamples(t, serialOff), nil, -1<<30, 1)
 	if !reflect.DeepEqual(rOn, rOff) {
-		t.Errorf("ScoreCandidates diverged: planner-on %+v, planner-off %+v", rOn, rOff)
+		t.Errorf("serial ScoreCandidates diverged: planner-on %+v, planner-off %+v", rOn, rOff)
+	}
+	pOn := on.ScoreCandidates(ctx, cands, exsOn, nil, -1<<30, 2)
+	pOff := off.ScoreCandidates(ctx, cands, exsOff, nil, -1<<30, 2)
+	iOn, bestOn, okOn := BestCandidate(pOn, -1<<30)
+	iOff, bestOff, okOff := BestCandidate(pOff, -1<<30)
+	if iOn != iOff || bestOn != bestOff || okOn != okOff {
+		t.Errorf("parallel ScoreCandidates selected differently: planner-on (%d, %+v, %v), planner-off (%d, %+v, %v)",
+			iOn, bestOn, okOn, iOff, bestOff, okOff)
 	}
 }
 

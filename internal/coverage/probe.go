@@ -128,8 +128,17 @@ func (p *probe) repairedCands(ctx context.Context) []*subsumption.CompiledCandid
 	return out
 }
 
-// coversPositive is CoversPositiveExample with the candidate side resolved
-// through the probe (Section 4.3 procedure).
+// coversPositive reports whether the probe's clause c covers the positive
+// example, following Section 4.3:
+//
+//  1. If c θ-subsumes the ground bottom clause (Definition 4.4), it covers
+//     the example (Theorem 4.6).
+//  2. Otherwise the MD-only parts c_md and G_md^e are compared; if c_md does
+//     not subsume G_md^e the example is not covered (Theorem 4.9 makes this
+//     exact for MD-only repair literals).
+//  3. Otherwise the CFD repair literals of both clauses are applied and the
+//     example is covered iff every resulting clause of c subsumes at least
+//     one resulting clause of the example.
 func (p *probe) coversPositive(ctx context.Context, ex *Example) bool {
 	if p.subsumes(ctx, p.cand, ex.prep, false) {
 		return true
@@ -139,16 +148,17 @@ func (p *probe) coversPositive(ctx context.Context, ex *Example) bool {
 		// (Theorem 4.9), so the failed check is conclusive.
 		return false
 	}
-	if !p.subsumes(ctx, p.strippedCand(), ex.stripped, false) {
+	stripped, gExp := ex.cfdSide(ctx)
+	if !p.subsumes(ctx, p.strippedCand(), stripped, false) {
 		return false
 	}
 	cExp := p.cfdCands(ctx)
-	if len(cExp) == 0 || len(ex.cfdExp) == 0 {
+	if len(cExp) == 0 || len(gExp) == 0 {
 		return false
 	}
 	for _, ce := range cExp {
 		matched := false
-		for _, g := range ex.cfdExp {
+		for _, g := range gExp {
 			if p.subsumes(ctx, ce, g, false) {
 				matched = true
 				break
@@ -161,8 +171,10 @@ func (p *probe) coversPositive(ctx context.Context, ex *Example) bool {
 	return true
 }
 
-// coversNegative is CoversNegativeExample through the probe (Definition 3.6
-// via Proposition 4.10).
+// coversNegative reports whether the probe's clause covers the negative
+// example, following Definition 3.6 and Proposition 4.10: c covers the
+// example iff some repaired clause of c θ-subsumes some repaired clause of
+// the example.
 func (p *probe) coversNegative(ctx context.Context, ex *Example) bool {
 	for _, cr := range p.repairedCands(ctx) {
 		for _, gr := range ex.repaired {

@@ -168,20 +168,3 @@ func adaptiveOrder(pos, neg []*Example) []int {
 	}
 	return order
 }
-
-// ScoreBatchGrounds is ScoreBatch over raw ground bottom clauses, preparing
-// them first. It exists for callers that have not prepared examples; inside
-// the learner the prepared-example form is always used. A preparation
-// abandoned by cancellation reports a non-exact zero score, the same
-// conservative answer a cancelled ScoreBatch produces.
-func (e *Evaluator) ScoreBatchGrounds(ctx context.Context, c logic.Clause, pos, neg []logic.Clause, floor int) (Score, bool) {
-	posEx, err := e.NewExamples(ctx, pos)
-	if err != nil {
-		return Score{}, false
-	}
-	negEx, err := e.NewExamples(ctx, neg)
-	if err != nil {
-		return Score{}, false
-	}
-	return e.ScoreBatch(ctx, c, posEx, negEx, floor)
-}

@@ -1,6 +1,7 @@
 package generalize
 
 import (
+	"context"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -44,12 +45,22 @@ func paperDB() (*bottomclause.Builder, *coverage.Evaluator) {
 	return b, ev
 }
 
+// covers is the coverage predicate the tests generalize with: whether
+// clause c covers the positive example whose ground bottom clause is g
+// (Section 4.3), tested on the prepared example as the learner does.
+func covers(ev *coverage.Evaluator) func(c, g logic.Clause) bool {
+	return func(c, g logic.Clause) bool {
+		ctx := context.Background()
+		return ev.CoversPositiveExample(ctx, c, ev.NewExample(ctx, g))
+	}
+}
+
 func TestGeneralizeExample47(t *testing.T) {
 	// Example 4.7: generalizing the Superbad bottom clause to cover
 	// Zoolander drops the August release-date literal (Zoolander was
 	// released in September), while the comedy literal survives.
 	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	g := New(covers(ev))
 
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
@@ -63,7 +74,7 @@ func TestGeneralizeExample47(t *testing.T) {
 	if !ok {
 		t.Fatalf("generalization failed: %v", out)
 	}
-	if !ev.CoversPositive(out, gz) {
+	if !covers(ev)(out, gz) {
 		t.Fatal("generalized clause does not cover the new example")
 	}
 	var hasAugust, hasComedy bool
@@ -89,7 +100,7 @@ func TestGeneralizeExample47(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.CoversPositive(out, gs) {
+	if !covers(ev)(out, gs) {
 		t.Error("generalized clause no longer covers the seed example")
 	}
 }
@@ -98,7 +109,7 @@ func TestGeneralizeProducesSubsumingClause(t *testing.T) {
 	// The generalization must θ-subsume the original clause (it is obtained
 	// by dropping literals), giving the soundness direction of Prop. 4.8.
 	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	g := New(covers(ev))
 	ch := subsumption.New(subsumption.Options{})
 
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
@@ -113,7 +124,7 @@ func TestGeneralizeProducesSubsumingClause(t *testing.T) {
 	if !ok {
 		t.Fatal("generalization failed")
 	}
-	if sub, _ := ch.Subsumes(out, bottom); !sub {
+	if sub, _, _ := subsumption.CompileCandidate(out).Probe(context.Background(), ch.Prepare(bottom), subsumption.ProbeOptions{}); !sub {
 		t.Error("generalization must θ-subsume the clause it was derived from")
 	}
 	if out.Length() >= bottom.Length() {
@@ -126,7 +137,7 @@ func TestGeneralizeUncoverableExample(t *testing.T) {
 	// generalizer reports failure and leaves the clause intact when even
 	// the head cannot cover, or returns the maximally generalized clause.
 	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	g := New(covers(ev))
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,14 +157,14 @@ func TestGeneralizeUncoverableExample(t *testing.T) {
 	if !ok {
 		t.Fatal("generalizing toward an empty ground clause should succeed (empty body covers it)")
 	}
-	if !ev.CoversPositive(out, gUnknown) {
+	if !covers(ev)(out, gUnknown) {
 		t.Error("result does not cover the new example")
 	}
 }
 
 func TestGeneralizeAll(t *testing.T) {
 	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	g := New(covers(ev))
 	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +182,7 @@ func TestGeneralizeAll(t *testing.T) {
 		t.Fatalf("expected 2 candidates, got %d", len(cands))
 	}
 	for i, c := range cands {
-		if !ev.CoversPositive(c, grounds[i]) {
+		if !covers(ev)(c, grounds[i]) {
 			t.Errorf("candidate %d does not cover its example", i)
 		}
 	}
@@ -180,7 +191,7 @@ func TestGeneralizeAll(t *testing.T) {
 func TestGeneralizeAlreadyCovering(t *testing.T) {
 	// A clause that already covers the example is returned unchanged.
 	b, ev := paperDB()
-	g := New(ev.CoversPositive)
+	g := New(covers(ev))
 	c := logic.NewClause(
 		logic.Rel("highGrossing", logic.Var("x")),
 	)

@@ -100,8 +100,8 @@ func (cc *CompiledCandidate) Clause() logic.Clause { return cc.c }
 // prepared example. The zero value is the default probe: Definition 4.4
 // semantics with the literal planner enabled.
 type ProbeOptions struct {
-	// Plain ignores the repair-literal closure requirement (SubsumesPlain
-	// semantics).
+	// Plain ignores the repair-literal closure requirement of Definition
+	// 4.4: the classical θ-subsumption used between repaired clauses.
 	Plain bool
 	// NoPlanner disables the literal planner: the search tries literals in
 	// the candidate's fixed compilation (clause) order. The outcome is
@@ -140,22 +140,11 @@ type ProbeStats struct {
 	PlanNanos int64
 }
 
-// Subsumes reports whether the candidate θ-subsumes the prepared clause
-// under Definition 4.4.
-func (cc *CompiledCandidate) Subsumes(ctx context.Context, p *Prepared) (bool, logic.Substitution) {
-	ok, theta, _ := cc.Probe(ctx, p, ProbeOptions{})
-	return ok, theta
-}
-
-// SubsumesPlain reports whether the candidate θ-subsumes the prepared
-// clause, ignoring the repair-literal closure requirement.
-func (cc *CompiledCandidate) SubsumesPlain(ctx context.Context, p *Prepared) (bool, logic.Substitution) {
-	ok, theta, _ := cc.Probe(ctx, p, ProbeOptions{Plain: true})
-	return ok, theta
-}
-
-// Probe is the instrumented θ-subsumption test: Subsumes/SubsumesPlain with
-// explicit probe options and per-probe work statistics.
+// Probe reports whether the candidate θ-subsumes the prepared clause under
+// Definition 4.4 (or classically, with ProbeOptions.Plain), returning the
+// substitution when it does and the probe's work statistics. A cancelled
+// search stops at its next poll and reports no subsumption, the same
+// conservative answer an exhausted node budget produces.
 func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, o ProbeOptions) (bool, logic.Substitution, ProbeStats) {
 	if cc.c.Head.Pred != p.d.Head.Pred || len(cc.c.Head.Args) != len(p.d.Head.Args) {
 		return false, nil, ProbeStats{}

@@ -41,30 +41,37 @@ func TestSubsumesContextCancelled(t *testing.T) {
 	ch := New(Options{MaxNodes: 10_000_000})
 
 	// Sanity: the uncancelled search finds the mapping.
-	if ok, _ := ch.Subsumes(c, d); !ok {
+	if ok, _ := subsumes(ch, c, d); !ok {
 		t.Fatal("uncancelled search should subsume")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if ok, _ := ch.SubsumesContext(ctx, c, d); ok {
+	if ok, _ := probeClauses(ctx, ch, c, d, false); ok {
 		t.Error("cancelled search must conservatively report no subsumption")
 	}
-	if ok, _ := ch.SubsumesPlainContext(ctx, c, d); ok {
+	if ok, _ := probeClauses(ctx, ch, c, d, true); ok {
 		t.Error("cancelled plain search must conservatively report no subsumption")
 	}
 }
 
+// TestPreparedSubsumesContextCancelled checks cancellation on a Prepared
+// shared across probes: a cancelled probe reports no subsumption and leaves
+// the Prepared answering later uncancelled probes correctly.
 func TestPreparedSubsumesContextCancelled(t *testing.T) {
 	c, d := bigSubsumptionProblem(12)
 	ch := New(Options{MaxNodes: 10_000_000})
 	prep := ch.Prepare(d)
-	if ok, _ := prep.Subsumes(c); !ok {
+	cc := CompileCandidate(c)
+	if ok, _, _ := cc.Probe(context.Background(), prep, ProbeOptions{}); !ok {
 		t.Fatal("uncancelled prepared search should subsume")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if ok, _ := prep.SubsumesContext(ctx, c); ok {
-		t.Error("cancelled prepared search must conservatively report no subsumption")
+	if ok, _, st := cc.Probe(ctx, prep, ProbeOptions{}); ok || !st.Exhausted {
+		t.Errorf("cancelled prepared search must conservatively report no subsumption (ok=%v, exhausted=%v)", ok, st.Exhausted)
+	}
+	if ok, _, _ := cc.Probe(context.Background(), prep, ProbeOptions{}); !ok {
+		t.Error("a cancelled probe must not change later answers on the same Prepared")
 	}
 }

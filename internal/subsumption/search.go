@@ -113,35 +113,6 @@ func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 	return p
 }
 
-// Subsumes reports whether c θ-subsumes the prepared clause under
-// Definition 4.4.
-func (p *Prepared) Subsumes(c logic.Clause) (bool, logic.Substitution) {
-	return p.SubsumesContext(context.Background(), c)
-}
-
-// SubsumesContext is Subsumes with cancellation: when ctx is cancelled the
-// search stops at the next poll and reports no subsumption.
-func (p *Prepared) SubsumesContext(ctx context.Context, c logic.Clause) (bool, logic.Substitution) {
-	if c.Head.Pred != p.d.Head.Pred || len(c.Head.Args) != len(p.d.Head.Args) {
-		return false, nil
-	}
-	return compileAgainst(ctx, c, p, false, false).run()
-}
-
-// SubsumesPlain reports whether c θ-subsumes the prepared clause, ignoring
-// the repair-literal closure requirement.
-func (p *Prepared) SubsumesPlain(c logic.Clause) (bool, logic.Substitution) {
-	return p.SubsumesPlainContext(context.Background(), c)
-}
-
-// SubsumesPlainContext is SubsumesPlain with cancellation.
-func (p *Prepared) SubsumesPlainContext(ctx context.Context, c logic.Clause) (bool, logic.Substitution) {
-	if c.Head.Pred != p.d.Head.Pred || len(c.Head.Args) != len(p.d.Head.Args) {
-		return false, nil
-	}
-	return compileAgainst(ctx, c, p, true, false).run()
-}
-
 // compiledLit is one relation or repair literal of c with its candidate
 // images in d.
 type compiledLit struct {
@@ -167,17 +138,6 @@ type compiledConstraint struct {
 type binding struct {
 	terms []logic.Term
 	bound []bool
-}
-
-func (ch *Checker) compile(ctx context.Context, c, d logic.Clause, skipClosure bool) *compiled {
-	return compileAgainst(ctx, c, ch.Prepare(d), skipClosure, ch.Opts.DisablePlanner)
-}
-
-// compileAgainst compiles the c-side of a subsumption problem against an
-// already prepared d-side. One-shot entry point; repeated probes of the same
-// candidate should go through CompileCandidate.
-func compileAgainst(ctx context.Context, c logic.Clause, prep *Prepared, skipClosure, noPlanner bool) *compiled {
-	return CompileCandidate(c).against(ctx, prep, ProbeOptions{Plain: skipClosure, NoPlanner: noPlanner})
 }
 
 func headVarIDs(c logic.Clause, varIndex map[string]int) []int {

@@ -30,15 +30,14 @@ func TestSnapshotRestoreBehavesIdentically(t *testing.T) {
 		orig := ch.Prepare(d)
 		restored := RestorePrepared(orig.Snapshot())
 
-		gotFull, _ := restored.Subsumes(c)
-		wantFull, _ := orig.Subsumes(c)
-		if gotFull != wantFull {
-			t.Fatalf("case %d: restored.Subsumes=%v, original=%v\nc=%s\nd=%s", i, gotFull, wantFull, c, d)
-		}
-		gotPlain, _ := restored.SubsumesPlain(c)
-		wantPlain, _ := orig.SubsumesPlain(c)
-		if gotPlain != wantPlain {
-			t.Fatalf("case %d: restored.SubsumesPlain=%v, original=%v\nc=%s\nd=%s", i, gotPlain, wantPlain, c, d)
+		cc := CompileCandidate(c)
+		for _, plain := range []bool{false, true} {
+			o := ProbeOptions{Plain: plain}
+			got, _, _ := cc.Probe(t.Context(), restored, o)
+			want, _, _ := cc.Probe(t.Context(), orig, o)
+			if got != want {
+				t.Fatalf("case %d (plain=%v): restored probe=%v, original=%v\nc=%s\nd=%s", i, plain, got, want, c, d)
+			}
 		}
 	}
 }
@@ -67,7 +66,7 @@ func TestRestoreClampsMaxNodes(t *testing.T) {
 	s.MaxNodes = 0
 	p := RestorePrepared(s)
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	if ok, _ := p.Subsumes(c); !ok {
+	if ok, _, _ := CompileCandidate(c).Probe(t.Context(), p, ProbeOptions{}); !ok {
 		t.Fatal("restored Prepared with zero MaxNodes cannot search")
 	}
 }

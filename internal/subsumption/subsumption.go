@@ -13,11 +13,7 @@
 // counts, never outcomes.
 package subsumption
 
-import (
-	"context"
-
-	"dlearn/internal/logic"
-)
+import "dlearn/internal/logic"
 
 // Options bounds the backtracking search. θ-subsumption is NP-complete; the
 // learner treats a search that exceeds its budget as "does not subsume",
@@ -46,59 +42,21 @@ func (o Options) maxNodes() int {
 	return DefaultMaxNodes
 }
 
-// Checker performs θ-subsumption tests. The zero value is usable. A Checker
-// is stateless apart from its options and is safe for concurrent use.
+// Checker prepares the subsumed side of θ-subsumption tests under its
+// options. The zero value is usable. A Checker is stateless apart from its
+// options and is safe for concurrent use.
+//
+// A test c ⊆θ d (Definition 4.4: there is a substitution θ with cθ ⊆ d,
+// where repair literals are matched like ordinary literals, and every repair
+// literal of d connected to a mapped literal of d is itself mapped) has one
+// entry point: prepare d once with Checker.Prepare, compile c once with
+// CompileCandidate, and call CompiledCandidate.Probe for each pair.
 type Checker struct {
 	Opts Options
 }
 
 // New returns a checker with the given options.
 func New(opts Options) *Checker { return &Checker{Opts: opts} }
-
-// Subsumes reports whether c θ-subsumes d (c ⊆θ d) in the sense of
-// Definition 4.4: there is a substitution θ with cθ ⊆ d, where repair
-// literals are matched like ordinary literals, and every repair literal of d
-// connected to a mapped literal of d is itself mapped. The substitution is
-// returned when subsumption holds.
-func (ch *Checker) Subsumes(c, d logic.Clause) (bool, logic.Substitution) {
-	return ch.SubsumesContext(context.Background(), c, d)
-}
-
-// SubsumesContext is Subsumes with cancellation: a cancelled search stops at
-// its next poll and reports no subsumption (the same conservative answer an
-// exhausted node budget produces).
-func (ch *Checker) SubsumesContext(ctx context.Context, c, d logic.Clause) (bool, logic.Substitution) {
-	if c.Head.Pred != d.Head.Pred || len(c.Head.Args) != len(d.Head.Args) {
-		return false, nil
-	}
-	return ch.compile(ctx, c, d, false).run()
-}
-
-// SubsumesPlain reports whether c θ-subsumes d ignoring the repair-literal
-// connectivity requirement of Definition 4.4. It is the classical
-// θ-subsumption used between repaired clauses.
-func (ch *Checker) SubsumesPlain(c, d logic.Clause) (bool, logic.Substitution) {
-	return ch.SubsumesPlainContext(context.Background(), c, d)
-}
-
-// SubsumesPlainContext is SubsumesPlain with cancellation.
-func (ch *Checker) SubsumesPlainContext(ctx context.Context, c, d logic.Clause) (bool, logic.Substitution) {
-	if c.Head.Pred != d.Head.Pred || len(c.Head.Args) != len(d.Head.Args) {
-		return false, nil
-	}
-	return ch.compile(ctx, c, d, true).run()
-}
-
-// Equivalent reports whether two clauses are θ-equivalent (each subsumes the
-// other). It is used by the minimal-generalization tests (Proposition 4.8).
-func (ch *Checker) Equivalent(a, b logic.Clause) bool {
-	ab, _ := ch.Subsumes(a, b)
-	if !ab {
-		return false
-	}
-	ba, _ := ch.Subsumes(b, a)
-	return ba
-}
 
 // predKey distinguishes relation literals by predicate and repair literals by
 // their kind, origin and dependency name, so MD repair literals only map to

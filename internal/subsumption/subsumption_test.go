@@ -1,6 +1,7 @@
 package subsumption
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,32 @@ import (
 )
 
 func checker() *Checker { return New(Options{}) }
+
+// subsumes is the one-shot θ-subsumption test c ⊆θ d (Definition 4.4)
+// through the package's single entry point: prepare d, compile c and probe
+// once, honouring the checker's planner setting.
+func subsumes(ch *Checker, c, d logic.Clause) (bool, logic.Substitution) {
+	return probeClauses(context.Background(), ch, c, d, false)
+}
+
+// subsumesPlain is subsumes without the repair-literal closure requirement.
+func subsumesPlain(ch *Checker, c, d logic.Clause) (bool, logic.Substitution) {
+	return probeClauses(context.Background(), ch, c, d, true)
+}
+
+func probeClauses(ctx context.Context, ch *Checker, c, d logic.Clause, plain bool) (bool, logic.Substitution) {
+	ok, theta, _ := CompileCandidate(c).Probe(ctx, ch.Prepare(d), ProbeOptions{Plain: plain, NoPlanner: ch.Opts.DisablePlanner})
+	return ok, theta
+}
+
+// equivalent reports whether a and b are θ-equivalent (each subsumes the
+// other), the relation the minimal-generalization tests use
+// (Proposition 4.8).
+func equivalent(ch *Checker, a, b logic.Clause) bool {
+	ab, _ := subsumes(ch, a, b)
+	ba, _ := subsumes(ch, b, a)
+	return ab && ba
+}
 
 func TestSubsumesPaperExample(t *testing.T) {
 	// C1: highGrossing(x) <- movies(x, y, z)
@@ -22,14 +49,14 @@ func TestSubsumesPaperExample(t *testing.T) {
 		logic.Rel("movies", logic.Var("a"), logic.Var("b"), logic.Var("c")),
 		logic.Rel("mov2genres", logic.Var("b"), logic.Const("comedy")),
 	)
-	ok, theta := checker().Subsumes(c1, c2)
+	ok, theta := subsumes(checker(), c1, c2)
 	if !ok {
 		t.Fatal("C1 should θ-subsume C2 (Section 4.2 example)")
 	}
 	if theta["x"] != logic.Var("a") {
 		t.Errorf("expected x/a in substitution, got %v", theta)
 	}
-	if ok, _ := checker().Subsumes(c2, c1); ok {
+	if ok, _ := subsumes(checker(), c2, c1); ok {
 		t.Fatal("C2 must not θ-subsume C1")
 	}
 }
@@ -46,7 +73,7 @@ func TestSubsumesGroundClause(t *testing.T) {
 		logic.Rel("mov2genres", logic.Const("m1"), logic.Const("comedy")),
 		logic.Rel("mov2countries", logic.Const("m1"), logic.Const("c1")),
 	)
-	if ok, _ := checker().Subsumes(c, ground); !ok {
+	if ok, _ := subsumes(checker(), c, ground); !ok {
 		t.Fatal("clause should subsume the ground bottom clause of its covered example")
 	}
 	groundDrama := logic.NewClause(
@@ -54,7 +81,7 @@ func TestSubsumesGroundClause(t *testing.T) {
 		logic.Rel("movies", logic.Const("m3"), logic.Const("Orphanage (2007)"), logic.Const("2007")),
 		logic.Rel("mov2genres", logic.Const("m3"), logic.Const("drama")),
 	)
-	if ok, _ := checker().Subsumes(c, groundDrama); ok {
+	if ok, _ := subsumes(checker(), c, groundDrama); ok {
 		t.Fatal("comedy clause must not subsume a drama-only ground clause")
 	}
 }
@@ -68,7 +95,7 @@ func TestSubsumesConstantMismatch(t *testing.T) {
 		logic.Rel("p", logic.Const("1")),
 		logic.Rel("q", logic.Const("1"), logic.Const("b")),
 	)
-	if ok, _ := checker().Subsumes(c, d); ok {
+	if ok, _ := subsumes(checker(), c, d); ok {
 		t.Fatal("constant a cannot map to constant b")
 	}
 }
@@ -76,11 +103,11 @@ func TestSubsumesConstantMismatch(t *testing.T) {
 func TestSubsumesHeadMismatch(t *testing.T) {
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")))
 	d := logic.NewClause(logic.Rel("q", logic.Var("x")))
-	if ok, _ := checker().Subsumes(c, d); ok {
+	if ok, _ := subsumes(checker(), c, d); ok {
 		t.Fatal("different head predicates cannot subsume")
 	}
 	d2 := logic.NewClause(logic.Rel("p", logic.Var("x"), logic.Var("y")))
-	if ok, _ := checker().Subsumes(c, d2); ok {
+	if ok, _ := subsumes(checker(), c, d2); ok {
 		t.Fatal("different head arities cannot subsume")
 	}
 }
@@ -99,10 +126,10 @@ func TestSubsumesRequiresConsistentBinding(t *testing.T) {
 		logic.Rel("p", logic.Const("a")),
 		logic.Rel("q", logic.Const("a"), logic.Const("b")),
 	)
-	if ok, _ := checker().Subsumes(c, dGood); !ok {
+	if ok, _ := subsumes(checker(), c, dGood); !ok {
 		t.Fatal("repeated variable should map onto repeated constant")
 	}
-	if ok, _ := checker().Subsumes(c, dBad); ok {
+	if ok, _ := subsumes(checker(), c, dBad); ok {
 		t.Fatal("repeated variable must not map onto distinct constants")
 	}
 }
@@ -123,10 +150,10 @@ func TestSubsumesEqualityAndSimilarityConstraints(t *testing.T) {
 		logic.Rel("p", logic.Const("a")),
 		logic.Rel("r", logic.Const("b")),
 	)
-	if ok, _ := checker().Subsumes(c, dWith); !ok {
+	if ok, _ := subsumes(checker(), c, dWith); !ok {
 		t.Fatal("similarity constraint satisfied by d's similarity literal should subsume")
 	}
-	if ok, _ := checker().Subsumes(c, dWithout); ok {
+	if ok, _ := subsumes(checker(), c, dWithout); ok {
 		t.Fatal("similarity constraint with no support in d must fail")
 	}
 	// Equality constraint satisfied via d's equality literal.
@@ -140,10 +167,10 @@ func TestSubsumesEqualityAndSimilarityConstraints(t *testing.T) {
 		logic.Rel("r", logic.Const("b")),
 		logic.Eq(logic.Const("a"), logic.Const("b")),
 	)
-	if ok, _ := checker().Subsumes(ceq, deq); !ok {
+	if ok, _ := subsumes(checker(), ceq, deq); !ok {
 		t.Fatal("equality constraint supported by d should subsume")
 	}
-	if ok, _ := checker().Subsumes(ceq, dWithout); ok {
+	if ok, _ := subsumes(checker(), ceq, dWithout); ok {
 		t.Fatal("equality constraint with distinct unrelated images must fail")
 	}
 }
@@ -162,10 +189,10 @@ func TestSubsumesInequalityConstraint(t *testing.T) {
 		logic.Rel("p", logic.Const("a")),
 		logic.Rel("r", logic.Const("a"), logic.Const("a")),
 	)
-	if ok, _ := checker().Subsumes(c, dDistinct); !ok {
+	if ok, _ := subsumes(checker(), c, dDistinct); !ok {
 		t.Fatal("inequality over distinct constants should hold")
 	}
-	if ok, _ := checker().Subsumes(c, dSame); ok {
+	if ok, _ := subsumes(checker(), c, dSame); ok {
 		t.Fatal("inequality over identical constants must fail")
 	}
 }
@@ -203,7 +230,7 @@ func groundMDClause() logic.Clause {
 }
 
 func TestSubsumesWithRepairLiterals(t *testing.T) {
-	if ok, _ := checker().Subsumes(mdClause(), groundMDClause()); !ok {
+	if ok, _ := subsumes(checker(), mdClause(), groundMDClause()); !ok {
 		t.Fatal("clause with MD repair literals should subsume the matching ground bottom clause")
 	}
 }
@@ -217,10 +244,10 @@ func TestDefinition44ClosureRequirement(t *testing.T) {
 		logic.Rel("movies", logic.Var("y"), logic.Var("t"), logic.Var("z")),
 	)
 	d := groundMDClause()
-	if ok, _ := checker().Subsumes(c, d); ok {
+	if ok, _ := subsumes(checker(), c, d); ok {
 		t.Fatal("Definition 4.4 requires connected repair literals of d to be mapped")
 	}
-	if ok, _ := checker().SubsumesPlain(c, d); !ok {
+	if ok, _ := subsumesPlain(checker(), c, d); !ok {
 		t.Fatal("plain θ-subsumption should ignore the closure requirement")
 	}
 }
@@ -230,7 +257,7 @@ func TestSubsumptionSoundnessTheorem46(t *testing.T) {
 	// repaired clause of C subsumes some repaired clause of D.
 	c := mdClause()
 	d := groundMDClause()
-	if ok, _ := checker().Subsumes(c, d); !ok {
+	if ok, _ := subsumes(checker(), c, d); !ok {
 		t.Fatal("precondition: c subsumes d")
 	}
 	cReps := repair.RepairedClauses(c, repair.Options{})
@@ -238,7 +265,7 @@ func TestSubsumptionSoundnessTheorem46(t *testing.T) {
 	for _, cr := range cReps {
 		found := false
 		for _, dr := range dReps {
-			if ok, _ := checker().SubsumesPlain(cr, dr); ok {
+			if ok, _ := subsumesPlain(checker(), cr, dr); ok {
 				found = true
 				break
 			}
@@ -259,14 +286,14 @@ func TestEquivalent(t *testing.T) {
 		logic.Rel("q", logic.Var("u"), logic.Var("w")),
 		logic.Rel("q", logic.Var("u"), logic.Var("v")),
 	)
-	if !checker().Equivalent(a, b) {
+	if !equivalent(checker(), a, b) {
 		t.Fatal("a and b are θ-equivalent (b's extra literal maps onto the same image)")
 	}
 	c := logic.NewClause(
 		logic.Rel("p", logic.Var("x")),
 		logic.Rel("q", logic.Var("x"), logic.Const("k")),
 	)
-	if checker().Equivalent(a, c) {
+	if equivalent(checker(), a, c) {
 		t.Fatal("a is strictly more general than c")
 	}
 }
@@ -289,11 +316,11 @@ func TestSearchBudgetExhaustion(t *testing.T) {
 	}
 	d := logic.NewClause(logic.Rel("p", logic.Const("a")), body...)
 	tiny := New(Options{MaxNodes: 3})
-	if ok, _ := tiny.Subsumes(c, d); ok {
+	if ok, _ := subsumes(tiny, c, d); ok {
 		t.Fatal("budget of 3 nodes cannot complete this search")
 	}
 	full := New(Options{})
-	if ok, _ := full.Subsumes(c, d); !ok {
+	if ok, _ := subsumes(full, c, d); !ok {
 		t.Fatal("full budget should find the chain mapping")
 	}
 }
@@ -306,7 +333,7 @@ func TestPropertySubsumptionReflexive(t *testing.T) {
 		logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x"), logic.Const("c"))),
 	}
 	for _, c := range clauses {
-		if ok, _ := ch.Subsumes(c, c); !ok {
+		if ok, _ := subsumes(ch, c, c); !ok {
 			t.Errorf("clause does not subsume itself: %v", c)
 		}
 	}
@@ -325,7 +352,7 @@ func TestPropertyDroppingLiteralsGeneralizes(t *testing.T) {
 	f := func(dropRaw uint8) bool {
 		drop := int(dropRaw) % base.Length()
 		shorter := base.RemoveBodyAt(drop).PruneUnconnected()
-		ok, _ := ch.Subsumes(shorter, base)
+		ok, _ := subsumes(ch, shorter, base)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
