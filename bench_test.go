@@ -220,7 +220,7 @@ func BenchmarkAblationSimilarityBlocking(b *testing.B) {
 	sim := similarity.Default()
 
 	b.Run("blocked-index", func(b *testing.B) {
-		idx := similarity.NewIndex(values, sim, 0.55)
+		idx := similarity.NewIndex(values, similarity.DefaultOptions(), 0.55)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, p := range probes {

@@ -97,7 +97,8 @@ type (
 	Definition = logic.Definition
 	// Clause is one learned Horn clause.
 	Clause = logic.Clause
-	// Model packages a definition with everything needed to classify.
+	// Model packages a definition with everything needed to classify. It is
+	// safe for concurrent use.
 	Model = core.Model
 	// Report summarizes a learning run.
 	Report = core.Report

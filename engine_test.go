@@ -294,6 +294,44 @@ func TestEngineDeterministicAcrossThreadCounts(t *testing.T) {
 	}
 }
 
+// TestEngineReportsExhaustedProbes pins the exhausted-probe count on the
+// report: a tiny node budget forces budget hits that must be counted, and
+// the default-budget golden run reports the same count whatever the thread
+// count and candidate parallelism.
+func TestEngineReportsExhaustedProbes(t *testing.T) {
+	p := buildTinyProblemFluent(t)
+	base := append(tinyEngineOptions(), dlearn.WithSeed(7))
+	_, report, err := dlearn.New(append(base, dlearn.WithSubsumptionBudget(2))...).Learn(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.ExhaustedProbes <= 0 {
+		t.Errorf("a 2-node budget reported %d exhausted probes, want > 0", report.ExhaustedProbes)
+	}
+
+	want := int64(-1)
+	for _, cfg := range []struct{ threads, candPar int }{{1, 1}, {1, 4}, {4, 1}, {4, 4}, {8, 3}} {
+		def, report, err := dlearn.New(append(base,
+			dlearn.WithThreads(cfg.threads),
+			dlearn.WithCandidateParallelism(cfg.candPar))...).
+			Learn(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.String() != tinyGoldenDefinition {
+			t.Fatalf("threads=%d candidateParallelism=%d diverged from the golden definition", cfg.threads, cfg.candPar)
+		}
+		if want < 0 {
+			want = report.ExhaustedProbes
+		}
+		if report.ExhaustedProbes != want {
+			t.Errorf("threads=%d candidateParallelism=%d reported %d exhausted probes, want %d",
+				cfg.threads, cfg.candPar, report.ExhaustedProbes, want)
+		}
+	}
+	t.Logf("default budget: %d exhausted probes", want)
+}
+
 // moviesGoldenDefinition is the definition learned from the generated
 // IMDB+OMDB dataset below, captured before the interned columnar data layer
 // replaced the boxed one. The two clauses are joined by "\n" exactly as

@@ -71,7 +71,7 @@ func RunContext(ctx context.Context, system System, p core.Problem, cfg core.Con
 		if threshold <= 0 {
 			threshold = bottomclause.DefaultConfig().SimilarityThreshold
 		}
-		problem.Instance = repair.ResolveBestMatch(p.Instance, p.MDs, similarity.Default(), threshold)
+		problem.Instance = repair.ResolveBestMatch(p.Instance, p.MDs, similarity.DefaultOptions(), threshold)
 		cfg.BottomClause.MDMode = bottomclause.MDExact
 		cfg.BottomClause.UseCFDs = false
 	case DLearn:

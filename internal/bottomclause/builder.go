@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"dlearn/internal/constraints"
 	"dlearn/internal/logic"
@@ -78,9 +79,12 @@ type Builder struct {
 	cfds   []constraints.CFD
 	cfg    Config
 
-	// simIndexes caches a similarity index per probed relation attribute.
+	// simIndexes caches a similarity index per probed relation attribute,
+	// built on first probe; simMu guards the map so concurrent grounding
+	// (Model.Predict from several goroutines) is safe. The indexes themselves
+	// are immutable.
+	simMu      sync.Mutex
 	simIndexes map[relation.AttrRef]*similarity.Index
-	simFunc    similarity.Func
 }
 
 // NewBuilder creates a builder. target describes the target relation (its
@@ -105,7 +109,6 @@ func NewBuilder(inst *relation.Instance, target *relation.Relation, mds []constr
 		cfds:       cfds,
 		cfg:        cfg,
 		simIndexes: make(map[relation.AttrRef]*similarity.Index),
-		simFunc:    similarity.Default(),
 	}
 }
 
@@ -347,11 +350,13 @@ func (b *Builder) attrDomain(rel, attr string) string {
 // to the probe, using a cached blocked index.
 func (b *Builder) similar(rel string, attr int, probe string) []similarity.Match {
 	ref := relation.AttrRef{Relation: rel, Attr: attr}
+	b.simMu.Lock()
 	idx, ok := b.simIndexes[ref]
 	if !ok {
-		idx = similarity.NewIndex(b.inst.DistinctValues(rel, attr), b.simFunc, b.cfg.SimilarityThreshold)
+		idx = similarity.NewIndex(b.inst.DistinctValues(rel, attr), similarity.DefaultOptions(), b.cfg.SimilarityThreshold)
 		b.simIndexes[ref] = idx
 	}
+	b.simMu.Unlock()
 	return idx.TopK(probe, b.cfg.KM)
 }
 

@@ -216,6 +216,10 @@ type Report struct {
 	// UncoveredPositives is the number of positive examples the final
 	// definition does not cover.
 	UncoveredPositives int
+	// ExhaustedProbes counts the run's θ-subsumption probes that hit the
+	// node budget (Config.Subsumption.MaxNodes): each answered "does not
+	// subsume" conservatively, which may have changed a coverage count.
+	ExhaustedProbes int64
 }
 
 // Learner runs DLearn (or, with the appropriate configuration, one of the
@@ -506,6 +510,7 @@ func (l *Learner) LearnContext(ctx context.Context, p Problem) (*logic.Definitio
 	}
 
 	report.UncoveredPositives = uncovered.Count()
+	report.ExhaustedProbes = eval.PlanSnapshot().Exhausted
 	report.Duration = time.Since(start)
 	l.obs.Observe(observe.PhaseDone{Phase: observe.PhaseCovering, Duration: time.Since(coveringStart)})
 	l.obs.Observe(observe.RunFinished{

@@ -12,7 +12,9 @@ import (
 // Model packages a learned definition with everything needed to classify new
 // examples: the bottom-clause builder over the (dirty) database and the
 // coverage evaluator. A test example is predicted positive when some clause
-// of the definition covers it under Definition 3.4.
+// of the definition covers it under Definition 3.4. A Model is safe for
+// concurrent use: Predict and PredictAll may run from several goroutines on
+// one Model, sharing its similarity indexes and evaluator caches.
 type Model struct {
 	Definition *logic.Definition
 	builder    *bottomclause.Builder

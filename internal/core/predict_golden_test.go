@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -142,6 +144,42 @@ func TestPredictAllGolden(t *testing.T) {
 			}
 			if got := b.String(); got != pc.predictions {
 				t.Errorf("predictions = %q, want %q", got, pc.predictions)
+			}
+		})
+	}
+}
+
+// TestPredictAllConcurrent runs PredictAll from four goroutines on one fresh
+// Model (so the lazily built similarity indexes and the evaluator caches are
+// first filled concurrently) and checks each answer against a serial run on
+// a separate Model. Run with -race.
+func TestPredictAllConcurrent(t *testing.T) {
+	for _, pc := range predictCases {
+		t.Run(pc.name, func(t *testing.T) {
+			fx := learnForPrediction(t, pc)
+			want, err := core.NewModel(fx.def, fx.cls, fx.cfg).PredictAll(fx.tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := core.NewModel(fx.def, fx.cls, fx.cfg)
+			got := make([][]bool, 4)
+			errs := make([]error, len(got))
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = m.PredictAll(fx.tuples)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatalf("goroutine %d: %v", i, errs[i])
+				}
+				if !slices.Equal(got[i], want) {
+					t.Errorf("goroutine %d predictions differ from the serial run", i)
+				}
 			}
 		})
 	}

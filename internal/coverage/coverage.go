@@ -69,13 +69,15 @@ type Evaluator struct {
 	// halves the heat of the examples it scored (see adaptiveOrder).
 	batches atomic.Int64
 
-	// Plan telemetry: probes issued, probes the planner ordered, and search
-	// nodes explored, accumulated across every probe-based coverage test.
+	// Plan telemetry: probes issued, probes the planner ordered, search
+	// nodes explored and probes that exhausted their node budget,
+	// accumulated across every probe-based coverage test.
 	// The learner reads deltas around each candidate batch and reports them
 	// on CandidateBatchScored events.
-	planProbes  atomic.Int64
-	planPlanned atomic.Int64
-	planNodes   atomic.Int64
+	planProbes    atomic.Int64
+	planPlanned   atomic.Int64
+	planNodes     atomic.Int64
+	planExhausted atomic.Int64
 
 	repCache   *shardedCache[[]logic.Clause]
 	cfdCache   *shardedCache[[]logic.Clause]

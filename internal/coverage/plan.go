@@ -23,14 +23,19 @@ type PlanCounters struct {
 	Planned int64
 	// Nodes is the total number of backtracking-search nodes explored.
 	Nodes int64
+	// Exhausted is how many of those probes hit the subsumption node budget
+	// (or were cancelled mid-search). Their "does not subsume" answer is
+	// conservative, not definitive.
+	Exhausted int64
 }
 
 // PlanSnapshot returns the evaluator's cumulative plan telemetry.
 func (e *Evaluator) PlanSnapshot() PlanCounters {
 	return PlanCounters{
-		Probes:  e.planProbes.Load(),
-		Planned: e.planPlanned.Load(),
-		Nodes:   e.planNodes.Load(),
+		Probes:    e.planProbes.Load(),
+		Planned:   e.planPlanned.Load(),
+		Nodes:     e.planNodes.Load(),
+		Exhausted: e.planExhausted.Load(),
 	}
 }
 
@@ -41,6 +46,9 @@ func (e *Evaluator) addProbeStats(st subsumption.ProbeStats) {
 		e.planPlanned.Add(1)
 	}
 	e.planNodes.Add(int64(st.Nodes))
+	if st.Exhausted {
+		e.planExhausted.Add(1)
+	}
 }
 
 // PlanComparison is the planner-vs-fixed-order differential tally over a set

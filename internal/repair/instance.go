@@ -292,9 +292,10 @@ func pickRepairValue(cfd constraints.CFD, tuples []relation.Tuple, positions []i
 // ResolveBestMatch implements the Castor-Clean preprocessing baseline: for
 // every MD, each value of the right matched attribute is unified with the
 // single most similar value of the left matched attribute (when it reaches
-// the threshold), by rewriting the right value to the left one. The result
-// joins exactly on the formerly heterogeneous attributes.
-func ResolveBestMatch(in *relation.Instance, mds []constraints.MD, sim similarity.Func, threshold float64) *relation.Instance {
+// the threshold under Combined(opts)), by rewriting the right value to the
+// left one. The result joins exactly on the formerly heterogeneous
+// attributes.
+func ResolveBestMatch(in *relation.Instance, mds []constraints.MD, opts similarity.Options, threshold float64) *relation.Instance {
 	out := in.Clone()
 	schema := out.Schema()
 	for _, md := range mds {
@@ -303,7 +304,7 @@ func ResolveBestMatch(in *relation.Instance, mds []constraints.MD, sim similarit
 			continue
 		}
 		leftValues := out.DistinctValues(md.LeftRel, lm)
-		idx := similarity.NewIndex(leftValues, sim, threshold)
+		idx := similarity.NewIndex(leftValues, opts, threshold)
 		for _, rv := range out.DistinctValues(md.RightRel, rm) {
 			matches := idx.TopK(rv, 1)
 			if len(matches) == 0 || matches[0].Value == rv {

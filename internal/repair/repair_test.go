@@ -420,7 +420,7 @@ func TestResolveBestMatch(t *testing.T) {
 	in.MustInsert("movies", "m2", "Zoolander (2001)", "2001")
 	in.MustInsert("highBudgetMovies", "Superbad")
 	in.MustInsert("highBudgetMovies", "Unrelated Thing")
-	out := ResolveBestMatch(in, []constraints.MD{titleMD()}, similarity.Default(), 0.55)
+	out := ResolveBestMatch(in, []constraints.MD{titleMD()}, similarity.DefaultOptions(), 0.55)
 	var resolved bool
 	for _, tp := range out.Tuples("highBudgetMovies") {
 		if tp.Values[0] == "Superbad (2007)" {

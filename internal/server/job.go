@@ -58,6 +58,9 @@ type Job struct {
 	// running in memory (best effort) but would not survive a restart the way
 	// a fully journalled job does.
 	degraded bool
+	// finishing marks a claimed terminal transition not yet published (see
+	// claimTerminal): the journal record is written in that window.
+	finishing bool
 	// changed is closed and replaced whenever events or state change;
 	// stream readers wait on it instead of polling.
 	changed chan struct{}
@@ -105,11 +108,12 @@ func (j *Job) appendEvent(name string, data []byte) {
 }
 
 // start transitions queued → running. It reports false when the job was
-// cancelled while queued, in which case the worker must skip it.
+// cancelled while queued (or is being cancelled: its terminal transition is
+// claimed), in which case the worker must skip it.
 func (j *Job) start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != wire.StateQueued {
+	if j.state != wire.StateQueued || j.finishing {
 		return false
 	}
 	j.state = wire.StateRunning
@@ -118,50 +122,61 @@ func (j *Job) start() bool {
 	return true
 }
 
-// complete records a successful run: the terminal "result" event and the
-// done state land atomically, so a stream reader that sees the terminal
-// state has the full event log. It reports whether this call performed the
-// transition: a job that is already terminal (cancelled during shutdown,
-// failed by a panic recovery) is left untouched, so two racing terminators
-// can never both append a terminal event or both bump an outcome counter.
-func (j *Job) complete(res wire.Result) bool {
+// outcome is a job's terminal transition: the final state, its result or
+// error, and the terminal stream event ("result" or "error") carrying it.
+type outcome struct {
+	state  string
+	errMsg string
+	result *wire.Result
+	event  streamEvent
+}
+
+// doneOutcome is a successful run's outcome. A result that does not encode
+// fails the job instead.
+func doneOutcome(res wire.Result) outcome {
 	data, err := json.Marshal(res)
 	if err != nil {
-		return j.fail(wire.StateFailed, "encoding result: "+err.Error())
+		return failOutcome(wire.StateFailed, "encoding result: "+err.Error())
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if terminal(j.state) {
-		return false
-	}
-	j.state = wire.StateDone
-	j.finished = time.Now()
-	j.result = &res
-	j.events = append(j.events, streamEvent{name: wire.EventResult, data: data})
-	j.signal()
-	return true
+	return outcome{state: wire.StateDone, result: &res, event: streamEvent{name: wire.EventResult, data: data}}
 }
 
-// fail records a failed or cancelled run with its terminal "error" event.
-// Like complete, it reports whether this call performed the transition and
-// no-ops on an already-terminal job.
-func (j *Job) fail(state, msg string) bool {
+// failOutcome is a failed or cancelled run's outcome.
+func failOutcome(state, msg string) outcome {
 	data, _ := json.Marshal(wire.JobError{State: state, Error: msg})
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failLocked(state, msg, data)
+	return outcome{state: state, errMsg: msg, event: streamEvent{name: wire.EventError, data: data}}
 }
 
-func (j *Job) failLocked(state, msg string, data []byte) bool {
-	if terminal(j.state) {
+// claimTerminal reserves the job's one terminal transition for the caller.
+// It reports false when the job is already terminal or another caller holds
+// the claim, so two racing terminators (a shutdown and a cancel, a panic
+// recovery and a completion) can never both finish the job. queuedOnly
+// restricts the claim to a job no worker has started; a claimed queued job
+// is never started either (see start). The claimed transition stays
+// invisible — status and streams still show the previous state — until
+// publish.
+func (j *Job) claimTerminal(queuedOnly bool) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.finishing || terminal(j.state) || (queuedOnly && j.state != wire.StateQueued) {
 		return false
 	}
-	j.state = state
-	j.finished = time.Now()
-	j.errMsg = msg
-	j.events = append(j.events, streamEvent{name: wire.EventError, data: data})
-	j.signal()
+	j.finishing = true
 	return true
+}
+
+// publish applies a claimed terminal transition: state, result or error and
+// the terminal event land atomically, so a stream reader that sees the
+// terminal state has the full event log.
+func (j *Job) publish(o outcome, finished time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.state = o.state
+	j.finished = finished
+	j.errMsg = o.errMsg
+	j.result = o.result
+	j.events = append(j.events, o.event)
+	j.signal()
 }
 
 // degrade marks the job's persistence as best-effort after a failed write,
@@ -181,20 +196,6 @@ func (j *Job) degrade(component, detail string) bool {
 		j.events = append(j.events, streamEvent{name: observe.TypePersistenceDegraded, data: data})
 		j.signal()
 	}
-	return true
-}
-
-// cancelQueued atomically moves a still-queued job to cancelled, so the
-// transition can never race a worker's start(): exactly one of the two wins.
-// It reports whether this call performed the transition.
-func (j *Job) cancelQueued(msg string) bool {
-	data, _ := json.Marshal(wire.JobError{State: wire.StateCancelled, Error: msg})
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != wire.StateQueued {
-		return false
-	}
-	j.failLocked(wire.StateCancelled, msg, data)
 	return true
 }
 
@@ -261,16 +262,16 @@ func recoverJob(base context.Context, rec journalRecord, p *dlearn.Problem, time
 	return j
 }
 
-// journalView snapshots the fields the job journal persists at a terminal
-// transition, under the job lock.
-func (j *Job) journalView() (state string, started, finished time.Time, errMsg string, result *wire.Result, events []journalEvent, degraded bool) {
+// journalView snapshots the fields the job journal persists besides the
+// terminal outcome, under the job lock.
+func (j *Job) journalView() (started time.Time, events []journalEvent, degraded bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	events = make([]journalEvent, len(j.events))
+	events = make([]journalEvent, len(j.events), len(j.events)+1)
 	for i, ev := range j.events {
 		events[i] = journalEvent{Name: ev.name, Data: ev.data}
 	}
-	return j.state, j.started, j.finished, j.errMsg, j.result, events, j.degraded
+	return j.started, events, j.degraded
 }
 
 // Status snapshots the job for GET /v1/jobs/{id}.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -416,4 +417,116 @@ func TestResultCacheDisabled(t *testing.T) {
 	if st := s.Stats(); st.ResultCacheHits != 0 || st.ResultCacheEntries != 0 {
 		t.Errorf("disabled cache still served hits: %+v", st)
 	}
+}
+
+// readJobRecord decodes a job's journal record from dir.
+func readJobRecord(t *testing.T, dir, id string) journalRecord {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, id+jobFileExt))
+	if err != nil {
+		t.Fatalf("reading journal record: %v", err)
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("decoding journal record: %v", err)
+	}
+	return rec
+}
+
+// TestJournalTerminalRecordBeforeClientSees pins the order of a terminal
+// transition: the journal record already holds the terminal state the
+// moment a client observes it, for every terminal kind — no wait, no poll.
+// A crash right after a client saw a job finish must not leave a record
+// that re-runs it.
+func TestJournalTerminalRecordBeforeClientSees(t *testing.T) {
+	p := serveProblem(t)
+
+	t.Run("done", func(t *testing.T) {
+		dir := t.TempDir()
+		s, client := newTestServer(t, Config{MaxConcurrent: 1, JobDir: dir})
+		if _, err := client.Learn(context.Background(), p, serveOptions(), nil); err != nil {
+			t.Fatal(err)
+		}
+		rec := readJobRecord(t, dir, findOnlyJobID(t, s))
+		if rec.State != wire.StateDone || rec.Result == nil || rec.FinishedAt.IsZero() {
+			t.Errorf("record state=%q result=%v finished=%v, want done with the result", rec.State, rec.Result != nil, rec.FinishedAt)
+		}
+	})
+
+	t.Run("failed", func(t *testing.T) {
+		dir := t.TempDir()
+		s, client := newTestServer(t, Config{MaxConcurrent: 1, JobDir: dir, DefaultTimeout: time.Nanosecond})
+		_, err := client.Learn(context.Background(), p, serveOptions(), nil)
+		var remoteErr *RemoteJobError
+		if !errors.As(err, &remoteErr) || remoteErr.State != wire.StateFailed {
+			t.Fatalf("expired job returned %v, want a failed RemoteJobError", err)
+		}
+		rec := readJobRecord(t, dir, findOnlyJobID(t, s))
+		if rec.State != wire.StateFailed || !strings.Contains(rec.Error, "deadline exceeded") {
+			t.Errorf("record state=%q error=%q, want failed on its deadline", rec.State, rec.Error)
+		}
+	})
+
+	t.Run("panicked", func(t *testing.T) {
+		dir := t.TempDir()
+		s, client := newTestServer(t, Config{
+			MaxConcurrent: 1,
+			JobDir:        dir,
+			Faults:        chaosSchedule(t, "worker.run:hit=1:panic=boom", 1),
+		})
+		if _, err := client.Learn(context.Background(), p, serveOptions(), nil); err == nil {
+			t.Fatal("panicking job succeeded")
+		}
+		rec := readJobRecord(t, dir, findOnlyJobID(t, s))
+		if rec.State != wire.StateFailed || !strings.Contains(rec.Error, "job panicked") {
+			t.Errorf("record state=%q error=%q, want failed with the panic", rec.State, truncateForLog(rec.Error))
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		dir := t.TempDir()
+		g := newGate()
+		_, client := newTestServer(t, Config{
+			MaxQueued:     4,
+			MaxConcurrent: 1,
+			JobDir:        dir,
+			EngineOptions: []dlearn.Option{dlearn.WithObserver(g)},
+		})
+		wp := wire.EncodeProblem(p)
+		wp.Options = serveOptions()
+		running, err := client.Submit(context.Background(), wp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.waitEntered(t)
+		queued, err := client.Submit(context.Background(), wp)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A queued job is cancelled by the DELETE itself.
+		st, err := client.Cancel(context.Background(), queued.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != wire.StateCancelled {
+			t.Fatalf("queued job state after cancel = %q", st.State)
+		}
+		if rec := readJobRecord(t, dir, queued.ID); rec.State != wire.StateCancelled {
+			t.Errorf("queued job's record state=%q right after the DELETE, want cancelled", rec.State)
+		}
+
+		// A running job is cancelled once its engine unwinds; the client sees
+		// that as the end of its event stream.
+		if _, err := client.Cancel(context.Background(), running.ID); err != nil {
+			t.Fatal(err)
+		}
+		close(g.release)
+		if err := client.Stream(context.Background(), running.ID, func(SSEEvent) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if rec := readJobRecord(t, dir, running.ID); rec.State != wire.StateCancelled {
+			t.Errorf("running job's record state=%q when its stream ended, want cancelled", rec.State)
+		}
+	})
 }

@@ -302,11 +302,9 @@ func (s *Server) recover(recs []journalRecord) []*Job {
 			// versions, or a hand-edited file): surface it as a failed job
 			// rather than silently dropping it.
 			j := recoverJob(s.baseCtx, rec, nil, 0)
-			j.fail(wire.StateFailed, fmt.Sprintf("recovering job from journal: %v", err))
+			s.finish(j, failOutcome(wire.StateFailed, fmt.Sprintf("recovering job from journal: %v", err)), "", false)
 			s.jobs[j.ID] = j
-			finished = append(finished, finishedAt{rec.ID, time.Now()})
-			s.failed.Add(1)
-			s.journalFinish(j, "")
+			finished = append(finished, finishedAt{rec.ID, j.Status().FinishedAt})
 			continue
 		}
 		j := recoverJob(s.baseCtx, rec, p, s.jobTimeout(rec.Problem.Options))
@@ -436,10 +434,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	// and streams resolve immediately; the worker that eventually drains it
 	// will see the transition and skip it. If a worker won the race and
 	// started the job, the cancelled context unwinds the engine instead.
-	if j.cancelQueued(errCancelledByClient.Error()) {
-		s.cancelled.Add(1)
-		s.journalFinish(j, "")
-	}
+	s.finish(j, failOutcome(wire.StateCancelled, errCancelledByClient.Error()), "", true)
 	return j, true
 }
 
@@ -473,38 +468,55 @@ func (s *Server) release(j *Job) {
 	}
 }
 
-// journalFinish rewrites a finished job's journal record with its terminal
-// state, result or error, and its event log (size-capped, oldest events
-// dropped behind a log_truncated marker). Best effort: the in-memory state
-// is already terminal, and a failed rewrite only means the job re-runs after
-// a restart — safe, because re-running a deterministic job reproduces the
-// same result — but the failure is counted and the job flagged degraded so
-// the weakened durability is visible.
-func (s *Server) journalFinish(j *Job, resultKey string) {
-	if s.journal == nil {
+// finish performs a job's one terminal transition, unless the job is already
+// terminal or another terminator holds the claim (queuedOnly also leaves a
+// started job alone: its worker will finish it). The terminal journal
+// record — state, result or error, the event log (size-capped, oldest
+// events dropped behind a log_truncated marker) — is written before the
+// terminal state becomes observable, so a client that sees a job finish can
+// rely on the record saying so too. The write is best effort: a failure
+// only means the job re-runs after a restart — safe, because re-running a
+// deterministic job reproduces the same result — but it is counted and the
+// job flagged degraded so the weakened durability is visible. The outcome
+// counters move before the state is published as well.
+func (s *Server) finish(j *Job, o outcome, resultKey string, queuedOnly bool) {
+	if !j.claimTerminal(queuedOnly) {
 		return
 	}
-	state, started, finished, errMsg, result, events, degraded := j.journalView()
-	err := s.journal.save(journalRecord{
-		ID:          j.ID,
-		Tenant:      j.Tenant,
-		State:       state,
-		SubmittedAt: j.submitted,
-		StartedAt:   started,
-		FinishedAt:  finished,
-		Problem:     j.wireProblem,
-		Error:       errMsg,
-		Result:      result,
-		ResultKey:   resultKey,
-		Events:      truncateEvents(events, s.cfg.MaxEventLogBytes),
-		Degraded:    degraded,
-	})
-	if err != nil {
-		s.journalWriteFailures.Add(1)
-		if j.degrade("journal", err.Error()) {
-			s.degradedJobs.Add(1)
+	finished := time.Now()
+	if s.journal != nil {
+		started, events, degraded := j.journalView()
+		events = append(events, journalEvent{Name: o.event.name, Data: o.event.data})
+		err := s.journal.save(journalRecord{
+			ID:          j.ID,
+			Tenant:      j.Tenant,
+			State:       o.state,
+			SubmittedAt: j.submitted,
+			StartedAt:   started,
+			FinishedAt:  finished,
+			Problem:     j.wireProblem,
+			Error:       o.errMsg,
+			Result:      o.result,
+			ResultKey:   resultKey,
+			Events:      truncateEvents(events, s.cfg.MaxEventLogBytes),
+			Degraded:    degraded,
+		})
+		if err != nil {
+			s.journalWriteFailures.Add(1)
+			if j.degrade("journal", err.Error()) {
+				s.degradedJobs.Add(1)
+			}
 		}
 	}
+	switch o.state {
+	case wire.StateDone:
+		s.completed.Add(1)
+	case wire.StateCancelled:
+		s.cancelled.Add(1)
+	default:
+		s.failed.Add(1)
+	}
+	j.publish(o, finished)
 }
 
 // runJob executes one job end to end. A panic anywhere in the job — the
@@ -523,10 +535,7 @@ func (s *Server) runJob(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.workerPanics.Add(1)
-			if j.fail(wire.StateFailed, fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack())) {
-				s.failed.Add(1)
-				s.journalFinish(j, "")
-			}
+			s.finish(j, failOutcome(wire.StateFailed, fmt.Sprintf("job panicked: %v\n%s", r, debug.Stack())), "", false)
 		}
 	}()
 	s.cfg.Faults.Panic("worker.run")
@@ -534,10 +543,7 @@ func (s *Server) runJob(j *Job) {
 	jobOpts, err := j.opts.EngineOptions()
 	if err != nil {
 		// Options were validated at admission; a failure here is a bug.
-		if j.fail(wire.StateFailed, err.Error()) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, failOutcome(wire.StateFailed, err.Error()), "", false)
 		return
 	}
 	opts := append(append([]dlearn.Option{}, s.cfg.EngineOptions...), jobOpts...)
@@ -558,10 +564,7 @@ func (s *Server) runJob(j *Job) {
 				if data, err := observe.MarshalEvent(observe.ResultCacheHit{Key: key.String(), Bytes: size}); err == nil {
 					j.appendEvent(observe.TypeResultCacheHit, data)
 				}
-				if j.complete(res) {
-					s.completed.Add(1)
-					s.journalFinish(j, key.String())
-				}
+				s.finish(j, doneOutcome(res), key.String(), false)
 				return
 			}
 		}
@@ -588,32 +591,17 @@ func (s *Server) runJob(j *Job) {
 			s.results.put(key, res)
 			resultKey = key.String()
 		}
-		if j.complete(res) {
-			s.completed.Add(1)
-			s.journalFinish(j, resultKey)
-		}
+		s.finish(j, doneOutcome(res), resultKey, false)
 	case context.Cause(j.ctx) == errCancelledByClient:
-		if j.fail(wire.StateCancelled, errCancelledByClient.Error()) {
-			s.cancelled.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, failOutcome(wire.StateCancelled, errCancelledByClient.Error()), "", false)
 	case context.Cause(j.ctx) == errServerShutdown:
 		// A hard shutdown (drain deadline expired, base context cancelled)
 		// is a server-initiated cancellation, not a job failure.
-		if j.fail(wire.StateCancelled, errServerShutdown.Error()) {
-			s.cancelled.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, failOutcome(wire.StateCancelled, errServerShutdown.Error()), "", false)
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
-		if j.fail(wire.StateFailed, fmt.Sprintf("deadline exceeded after %s", j.timeout)) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, failOutcome(wire.StateFailed, fmt.Sprintf("deadline exceeded after %s", j.timeout)), "", false)
 	default:
-		if j.fail(wire.StateFailed, err.Error()) {
-			s.failed.Add(1)
-			s.journalFinish(j, "")
-		}
+		s.finish(j, failOutcome(wire.StateFailed, err.Error()), "", false)
 	}
 }
 

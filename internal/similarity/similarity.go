@@ -8,6 +8,7 @@ package similarity
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Options configures the combined similarity operator.
@@ -45,10 +46,23 @@ type Func func(a, b string) float64
 // Gotoh's affine gap penalties, normalized by the best achievable score of
 // the shorter string so the result lies in [0, 1].
 func SmithWatermanGotoh(a, b string, opts Options) float64 {
-	if opts.CaseInsensitive {
-		a, b = strings.ToLower(a), strings.ToLower(b)
+	ra, rb := opts.fold(a), opts.fold(b)
+	return swg(ra, rb, opts, make([]float64, 3*(len(rb)+1)))
+}
+
+// fold returns the runes the alignment compares: the string lowercased
+// under CaseInsensitive, as is otherwise.
+func (o Options) fold(s string) []rune {
+	if o.CaseInsensitive {
+		s = strings.ToLower(s)
 	}
-	ra, rb := []rune(a), []rune(b)
+	return []rune(s)
+}
+
+// swg is the alignment kernel behind SmithWatermanGotoh and Index.TopK. rows
+// is scratch space of at least 3*(len(rb)+1) floats; its contents are
+// overwritten, so one buffer serves any number of sequential calls.
+func swg(ra, rb []rune, opts Options, rows []float64) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		if len(ra) == 0 && len(rb) == 0 {
 			return 1
@@ -59,12 +73,11 @@ func SmithWatermanGotoh(a, b string, opts Options) float64 {
 	// h[j]: best score of an alignment ending at (i, j).
 	// e[j]: best score of an alignment ending at (i, j) with a gap in a.
 	// f:     best score of an alignment ending at (i, j) with a gap in b.
-	h := make([]float64, m+1)
-	e := make([]float64, m+1)
-	prevH := make([]float64, m+1)
+	h, e, prevH := rows[:m+1], rows[m+1:2*(m+1)], rows[2*(m+1):3*(m+1)]
+	clear(rows[:3*(m+1)])
 	best := 0.0
 	for i := 1; i <= n; i++ {
-		copy(prevH, h)
+		prevH, h = h, prevH
 		h[0] = 0
 		f := 0.0
 		for j := 1; j <= m; j++ {
@@ -83,10 +96,12 @@ func SmithWatermanGotoh(a, b string, opts Options) float64 {
 			}
 		}
 	}
-	minLen := n
-	if m < minLen {
-		minLen = m
-	}
+	return normalizeSWG(best, min(n, m), opts)
+}
+
+// normalizeSWG turns a best local alignment score into the [0, 1]
+// similarity: best over the score of aligning the shorter string perfectly.
+func normalizeSWG(best float64, minLen int, opts Options) float64 {
 	denom := float64(minLen) * opts.MatchScore
 	if denom <= 0 {
 		return 0
@@ -102,9 +117,12 @@ func SmithWatermanGotoh(a, b string, opts Options) float64 {
 }
 
 // Length computes the length similarity: the length of the shorter string
-// divided by the length of the longer one.
+// divided by the length of the longer one, in runes.
 func Length(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
+	return lengthSim(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
+}
+
+func lengthSim(la, lb int) float64 {
 	if la == 0 && lb == 0 {
 		return 1
 	}

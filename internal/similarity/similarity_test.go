@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -107,7 +108,7 @@ func TestIndexTopK(t *testing.T) {
 		"Superbad (2007)",
 		"Zoolander (2001)",
 	}
-	idx := NewIndex(values, Default(), 0.5)
+	idx := NewIndex(values, DefaultOptions(), 0.5)
 	matches := idx.TopK("Star Wars", 2)
 	if len(matches) != 2 {
 		t.Fatalf("expected 2 matches, got %v", matches)
@@ -133,7 +134,7 @@ func TestIndexTopK(t *testing.T) {
 
 func TestIndexTopKLimit(t *testing.T) {
 	values := []string{"aaa 1", "aaa 2", "aaa 3", "aaa 4"}
-	idx := NewIndex(values, Default(), 0.1)
+	idx := NewIndex(values, DefaultOptions(), 0.1)
 	if got := len(idx.TopK("aaa", 2)); got != 2 {
 		t.Errorf("k=2 should cap results, got %d", got)
 	}
@@ -144,7 +145,7 @@ func TestIndexTopKLimit(t *testing.T) {
 
 func TestIndexExactMatchWithoutTokens(t *testing.T) {
 	// Values that tokenize to nothing are still found by exact probes.
-	idx := NewIndex([]string{"###", "abc"}, Default(), 0.9)
+	idx := NewIndex([]string{"###", "abc"}, DefaultOptions(), 0.9)
 	got := idx.TopK("###", 5)
 	if len(got) != 1 || got[0].Value != "###" {
 		t.Fatalf("exact match on token-less value failed: %v", got)
@@ -152,7 +153,7 @@ func TestIndexExactMatchWithoutTokens(t *testing.T) {
 }
 
 func TestIndexSimilar(t *testing.T) {
-	idx := NewIndex([]string{"Superbad (2007)"}, Default(), 0.6)
+	idx := NewIndex([]string{"Superbad (2007)"}, DefaultOptions(), 0.6)
 	if !idx.Similar("Superbad", "Superbad (2007)") {
 		t.Error("Superbad should be similar to Superbad (2007)")
 	}
@@ -171,7 +172,7 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 		"star wars", "Jurassic Park", "Park Jurassic III",
 	}
 	sim := Default()
-	idx := NewIndex(values, sim, 0.45)
+	idx := NewIndex(values, DefaultOptions(), 0.45)
 	probes := []string{"Star Wars", "Superbad", "Jurassic Park III", "Orphanage"}
 	for _, p := range probes {
 		blocked := idx.TopK(p, 0)
@@ -199,6 +200,31 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 			}
 			if shares && !blockedSet[m.Value] {
 				t.Errorf("probe %q: token-sharing match %v missed by blocked index", p, m)
+			}
+		}
+	}
+}
+
+// TestIndexTopKUnboundedScheme covers a scheme outside the bound's sign
+// assumptions (a positive mismatch score): the index must then align every
+// blocked candidate and still agree with the oracle.
+func TestIndexTopKUnboundedScheme(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MismatchScore = 0.5
+	values := []string{"abcd x", "wxyz x", "ab x", "zzzzzzzz x", "x"}
+	idx := NewIndex(values, opts, 0.5)
+	if idx.bounded {
+		t.Fatal("a positive mismatch score must disable the bound")
+	}
+	for _, k := range []int{0, 1, 2} {
+		got := idx.TopK("dcba x", k)
+		want := BruteForceTopK("dcba x", values, Combined(opts), 0.5, k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: TopK = %v, oracle %v", k, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: TopK = %v, oracle %v", k, got, want)
 			}
 		}
 	}
@@ -266,7 +292,7 @@ func TestPropertyIdentityScoresOne(t *testing.T) {
 // Property: the blocked index never returns a match below its threshold.
 func TestPropertyIndexRespectsThreshold(t *testing.T) {
 	values := []string{"alpha beta", "beta gamma", "gamma delta", "delta alpha"}
-	idx := NewIndex(values, Default(), 0.5)
+	idx := NewIndex(values, DefaultOptions(), 0.5)
 	f := func(probe string) bool {
 		if len(probe) > 32 {
 			probe = probe[:32]
@@ -281,4 +307,46 @@ func TestPropertyIndexRespectsThreshold(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzTopK checks the bounded Index.TopK against the unbounded oracle:
+// BruteForceTopK over exactly the index's blocked candidates, which scores
+// every candidate with Combined(DefaultOptions()). Values, order and scores
+// must be identical for every k, so the bound may skip only alignments that
+// cannot change the answer. values is newline-separated; th maps to a
+// threshold in [0, 1].
+func FuzzTopK(f *testing.F) {
+	f.Add("star", "star wars\nstar wars\nstar trek\nwars star", uint8(100))       // duplicate values
+	f.Add("ab", "\nabc\nab c\nb", uint8(0))                                       // an empty value
+	f.Add("!!!", "!!!\n?!\nabc\n", uint8(50))                                     // a probe with no tokens: full scan
+	f.Add("ab", "ab 1\nab 2\nab 3\nab 4 x", uint8(120))                           // equal-score ties between values
+	f.Add("İstanbul", "İstanbul\nistanbul\nISTANBUL\ni̇stanbul x\nİ", uint8(140)) // "İ" folds to "i": bytes change, runes do not
+	// "  c  cd" scores exactly what "dcbd cd" scores, with a bound equal to
+	// that score, and wins the tie-break: the stop rule must still align it.
+	f.Add("ab cd", "dcbd cd\n  c  cd", uint8(0))
+	f.Add("Superbad", "Superbad (2007)\nSuper Bad\nbad super\nOrphanage (2007)", uint8(140))
+	f.Fuzz(func(t *testing.T, probe, blob string, th uint8) {
+		if len(probe) > 64 || len(blob) > 1024 {
+			t.Skip()
+		}
+		values := strings.Split(blob, "\n")
+		threshold := float64(th) / 255
+		idx := NewIndex(values, DefaultOptions(), threshold)
+		var blocked []string
+		for _, pos := range idx.candidates(probe) {
+			blocked = append(blocked, values[pos])
+		}
+		for _, k := range []int{0, 1, 2, 5} {
+			got := idx.TopK(probe, k)
+			want := BruteForceTopK(probe, blocked, Combined(DefaultOptions()), threshold, k)
+			if len(got) != len(want) {
+				t.Fatalf("TopK(%q, %d) = %v, oracle %v", probe, k, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("TopK(%q, %d) = %v, oracle %v", probe, k, got, want)
+				}
+			}
+		}
+	})
 }
