@@ -19,8 +19,7 @@
 // fig1right, coverage, scale, all. The coverage experiment is a
 // micro-benchmark of the candidate-evaluation pipeline; its
 // BENCH_coverage.json records the throughput numbers tracked across engine
-// versions, including the literal planner's win rate and node saving versus
-// fixed-order search (plan_* fields). The scale experiment reruns that
+// versions. The scale experiment reruns that
 // workload at 1x/10x(/100x) tuple multipliers and writes BENCH_scale.json
 // with the data layer's growth curve (prepare seconds, resident bytes,
 // snapshot bytes, cover tests/s at each scale).
@@ -51,7 +50,6 @@ func main() {
 		snapDir = flag.String("snapshot-dir", "", "snapshot directory for the coverage experiment's warm-start measurement (empty uses a throwaway temp dir)")
 		snapMax = flag.Int64("snapshot-max-bytes", 0, "size cap on the snapshot store; least-recently-used snapshots are swept until it fits (0 = unbounded)")
 		candPar = flag.Int("candidate-parallelism", 0, "outer-tier workers of the two-tier coverage scheduler (0 = default)")
-		planner = flag.Bool("literal-planner", true, "order θ-subsumption search literals by per-probe selectivity (the coverage experiment always measures both orders)")
 	)
 	flag.Parse()
 
@@ -70,7 +68,6 @@ func main() {
 	opts.SnapshotDir = *snapDir
 	opts.SnapshotMaxBytes = *snapMax
 	opts.CandidateParallelism = *candPar
-	opts.DisableLiteralPlanner = !*planner
 	opts.Out = os.Stdout
 
 	runners := map[string]func(context.Context, bench.Options) error{

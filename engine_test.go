@@ -258,10 +258,7 @@ const tinyGoldenDefinition = "highGrossing(v0) <- v0 ~ v1, V[md_title/md_title#0
 // central promise: the learned definition is byte-identical for a fixed seed
 // regardless of the inner thread count and the outer candidate parallelism,
 // because the scheduler's shared floor only prunes candidates that provably
-// cannot win. The matrix also crosses the literal planner on/off: a plan is a
-// permutation of one probe's search order, so it may change how a fixed point
-// is reached but never which definition is learned. The serial reference is
-// additionally pinned to the pre-refactor golden output, so the whole matrix
+// cannot win. The serial reference is additionally pinned to the pre-refactor golden output, so the whole matrix
 // transitively certifies the interned data layer against the boxed one.
 func TestEngineDeterministicAcrossThreadCounts(t *testing.T) {
 	p := buildTinyProblemFluent(t)
@@ -274,22 +271,19 @@ func TestEngineDeterministicAcrossThreadCounts(t *testing.T) {
 	if ref.String() != tinyGoldenDefinition {
 		t.Errorf("serial run diverged from the pre-refactor golden definition:\n%s\nvs\n%s", ref, tinyGoldenDefinition)
 	}
-	for _, planner := range []bool{true, false} {
-		for _, cfg := range []struct{ threads, candPar int }{
-			{1, 1}, {1, 4}, {4, 1}, {4, 4}, {8, 3}, {16, 8},
-		} {
-			def, _, err := dlearn.New(append(base,
-				dlearn.WithThreads(cfg.threads),
-				dlearn.WithCandidateParallelism(cfg.candPar),
-				dlearn.WithLiteralPlanner(planner))...).
-				Learn(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if def.String() != ref.String() {
-				t.Errorf("threads=%d candidateParallelism=%d planner=%v diverged from the serial run:\n%s\nvs\n%s",
-					cfg.threads, cfg.candPar, planner, def, ref)
-			}
+	for _, cfg := range []struct{ threads, candPar int }{
+		{1, 1}, {1, 4}, {4, 1}, {4, 4}, {8, 3}, {16, 8},
+	} {
+		def, _, err := dlearn.New(append(base,
+			dlearn.WithThreads(cfg.threads),
+			dlearn.WithCandidateParallelism(cfg.candPar))...).
+			Learn(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.String() != ref.String() {
+			t.Errorf("threads=%d candidateParallelism=%d diverged from the serial run:\n%s\nvs\n%s",
+				cfg.threads, cfg.candPar, def, ref)
 		}
 	}
 }
@@ -343,7 +337,7 @@ const moviesGoldenDefinition = "dramaRestrictedMovies(v0) <- imdb_mov2genres(v0,
 // the golden-determinism battery: a small IMDB+OMDB problem (exercising MDs,
 // similarity literals and the full bottom-clause pipeline against the
 // interned instance) must learn the exact pre-refactor definition, across
-// thread counts, candidate parallelism and the literal planner toggle.
+// thread counts and candidate parallelism.
 func TestEngineGoldenMoviesAcrossThreadCounts(t *testing.T) {
 	mcfg := dlearn.DefaultMoviesConfig()
 	mcfg.MDCount = 1
@@ -372,22 +366,19 @@ func TestEngineGoldenMoviesAcrossThreadCounts(t *testing.T) {
 		dlearn.WithMaxClauses(4),
 		dlearn.WithSubsumptionBudget(10000),
 	}
-	for _, planner := range []bool{true, false} {
-		for _, cfg := range []struct{ threads, candPar int }{
-			{1, 1}, {4, 1}, {4, 4}, {8, 3},
-		} {
-			def, _, err := dlearn.New(append(base,
-				dlearn.WithThreads(cfg.threads),
-				dlearn.WithCandidateParallelism(cfg.candPar),
-				dlearn.WithLiteralPlanner(planner))...).
-				Learn(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if def.String() != moviesGoldenDefinition {
-				t.Errorf("threads=%d candidateParallelism=%d planner=%v diverged from the pre-refactor golden:\n%s\nvs\n%s",
-					cfg.threads, cfg.candPar, planner, def, moviesGoldenDefinition)
-			}
+	for _, cfg := range []struct{ threads, candPar int }{
+		{1, 1}, {4, 1}, {4, 4}, {8, 3},
+	} {
+		def, _, err := dlearn.New(append(base,
+			dlearn.WithThreads(cfg.threads),
+			dlearn.WithCandidateParallelism(cfg.candPar))...).
+			Learn(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.String() != moviesGoldenDefinition {
+			t.Errorf("threads=%d candidateParallelism=%d diverged from the pre-refactor golden:\n%s\nvs\n%s",
+				cfg.threads, cfg.candPar, def, moviesGoldenDefinition)
 		}
 	}
 }

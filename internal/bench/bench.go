@@ -58,11 +58,6 @@ type Options struct {
 	// the store fits, and the post-sweep occupancy is reported in
 	// BENCH_coverage.json. Zero means unbounded.
 	SnapshotMaxBytes int64
-	// DisableLiteralPlanner turns off the θ-subsumption literal planner for
-	// every fit the experiments perform — the A/B switch behind the plan_*
-	// fields of BENCH_coverage.json. The coverage experiment additionally runs
-	// its own planner-on/planner-off differential regardless of this setting.
-	DisableLiteralPlanner bool
 }
 
 // DefaultOptions mirrors the paper's experimental setup.
@@ -102,7 +97,6 @@ func (o Options) learnerConfig(km, iterations, sampleSize int) core.Config {
 	}
 	cfg.Seed = o.Seed
 	cfg.Observer = o.Observer
-	cfg.Subsumption.DisablePlanner = o.DisableLiteralPlanner
 	cfg.BottomClause.KM = km
 	cfg.BottomClause.Iterations = iterations
 	cfg.BottomClause.SampleSize = sampleSize

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"time"
 
@@ -71,59 +70,21 @@ type CoverageSummary struct {
 	CandidateParallelSpeedup float64 `json:"candidate_parallel_speedup"`
 	CandidateEarlyExits      int     `json:"candidate_early_exits"`
 
-	// Literal-planner differential: every candidate probed against every
-	// positive example's prepared ground clause under the selectivity plan
-	// and again in fixed clause order, on the warmed evaluator. A probe is a
-	// win when the planned search explored strictly fewer backtracking nodes,
-	// a loss when strictly more; PlanWinRate is wins over decided (non-tie)
-	// probes. PlanBacktracksSaved is the total node difference and
-	// PlanSeconds the total plan-computation time — the overhead bought by
-	// the saving. Outcomes must agree probe by probe; the run fails if any
-	// completed probe diverges. PlanBudgetHits counts probes where either
-	// order exhausted the node budget: both searches stop at the same cap,
-	// so those probes tally as ties regardless of order quality — a high
-	// count means the candidates (full bottom clauses at paper scale) are
-	// budget-bound and the A/B says nothing beyond that.
-	PlanProbes          int     `json:"plan_probes"`
-	PlanWins            int     `json:"plan_wins"`
-	PlanLosses          int     `json:"plan_losses"`
-	PlanTies            int     `json:"plan_ties"`
-	PlanBudgetHits      int     `json:"plan_budget_hits"`
-	PlanWinRate         float64 `json:"plan_win_rate"`
-	PlanBacktracksSaved int64   `json:"plan_backtracks_saved"`
-	PlanSeconds         float64 `json:"plan_seconds"`
-
 	// Covering-run scheduler telemetry: a full learner pass over the same
 	// problem, its CandidateBatchScored events aggregated into a per-run
 	// early-exit rate — the same figure dlearn-serve exports cumulatively
 	// via /v1/stats, recorded here per benchmark run so its trajectory is
-	// tracked across PRs alongside the throughput numbers.
+	// tracked across PRs alongside the throughput numbers. LearnProbes and
+	// LearnSearchNodes are the θ-subsumption probes the pass issued and the
+	// search nodes they explored.
 	LearnSeconds          float64 `json:"learn_seconds"`
 	LearnClauses          int     `json:"learn_clauses"`
 	LearnCandidateBatches int64   `json:"learn_candidate_batches"`
 	LearnCandidatesScored int64   `json:"learn_candidates_scored"`
 	LearnEarlyExits       int64   `json:"learn_early_exits"`
 	LearnEarlyExitRate    float64 `json:"learn_early_exit_rate"`
-
-	// The learner pass runs twice — literal planner on, then off.
-	// LearnSearchNodes and LearnSearchNodesFixed are the θ-subsumption search
-	// nodes each pass explored; LearnBacktracksSaved is their difference, the
-	// planner's measured saving on a real covering run rather than isolated
-	// probes. LearnSecondsFixed is the planner-off pass's wall-clock time.
-	// The two definitions are not compared here: the benchmark clamps the
-	// search budget, and a budget-exhausted probe answers a conservative
-	// "no" that can differ between orders. Unbounded outcome equality is
-	// pinned by the engine thread-matrix test and the differential fuzz
-	// battery instead. For the same reason the two passes can walk different
-	// covering trajectories (different seeds rejected, different clauses
-	// accepted, different batch counts), so the node totals compare whole
-	// runs, not probe-for-probe cost; LearnProbes and the per-pass batch
-	// telemetry give the context needed to read them.
 	LearnProbes           int64   `json:"learn_probes"`
 	LearnSearchNodes      int64   `json:"learn_search_nodes"`
-	LearnSearchNodesFixed int64   `json:"learn_search_nodes_fixed"`
-	LearnBacktracksSaved  int64   `json:"learn_backtracks_saved"`
-	LearnSecondsFixed     float64 `json:"learn_seconds_fixed"`
 
 	// Snapshot-store occupancy after the run (and, with a size cap, after
 	// the LRU sweep): total bytes and file count in the store directory.
@@ -336,18 +297,6 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 		return CoverageSummary{}, err
 	}
 
-	// Literal-planner differential: the warmed evaluator probes every
-	// candidate against every positive example under the selectivity plan and
-	// again in fixed clause order. Plans are permutations, so any outcome
-	// divergence is a bug the benchmark turns into a failure.
-	planCmp := eval.ComparePlannerOrder(ctx, cands, posEx)
-	if err := ctx.Err(); err != nil {
-		return CoverageSummary{}, err
-	}
-	if planCmp.Divergences != 0 {
-		return CoverageSummary{}, fmt.Errorf("bench: literal planner changed the outcome of %d of %d probes", planCmp.Divergences, planCmp.Probes)
-	}
-
 	// Covering-run pass: a real learner run over the benchmark subset, with
 	// its scheduler telemetry aggregated from CandidateBatchScored events.
 	// The learner shares the snapshot store, so the pass warm-starts off the
@@ -355,13 +304,9 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 	// The hill-climb budgets are clamped so the pass stays a bounded
 	// micro-benchmark rather than a full evaluation run; none of the clamped
 	// fields feed the snapshot fingerprint, so the warm start is preserved.
-	// The pass runs twice — literal planner on, then off — both warm-started
-	// (the toggle is excluded from the snapshot fingerprint), measuring the
-	// planner's node saving on a real covering run.
 	sched := observe.NewSchedulerStats()
 	plans := observe.NewPlanStats()
 	learnCfg := lcfg
-	learnCfg.Subsumption.DisablePlanner = false
 	learnCfg.Observer = observe.Multi(sched, plans)
 	learnCfg.SnapshotStore = store
 	learnCfg.GeneralizationSample = 4
@@ -375,17 +320,6 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 	learnDur := time.Since(learnStart)
 	learnStats := sched.Snapshot()
 	planStats := plans.Snapshot()
-
-	fixedPlans := observe.NewPlanStats()
-	fixedCfg := learnCfg
-	fixedCfg.Subsumption.DisablePlanner = true
-	fixedCfg.Observer = fixedPlans
-	fixedStart := time.Now()
-	if _, _, err := core.NewLearner(fixedCfg).LearnContext(ctx, benchProblem); err != nil {
-		return CoverageSummary{}, err
-	}
-	fixedDur := time.Since(fixedStart)
-	fixedStats := fixedPlans.Snapshot()
 
 	tests := float64(rounds) * float64(len(cands)) * float64(len(posEx)+len(negEx))
 	// Store occupancy (after an LRU sweep when a cap is configured).
@@ -425,14 +359,6 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 		CandidateSerialSeconds:   candSerial.Seconds(),
 		CandidateParallelSeconds: candParallel.Seconds(),
 		CandidateEarlyExits:      candEarlyExits,
-		PlanProbes:               planCmp.Probes,
-		PlanWins:                 planCmp.Wins,
-		PlanLosses:               planCmp.Losses,
-		PlanTies:                 planCmp.Ties,
-		PlanBudgetHits:           planCmp.BudgetHits,
-		PlanWinRate:              planCmp.WinRate(),
-		PlanBacktracksSaved:      planCmp.NodesSaved(),
-		PlanSeconds:              planCmp.PlanTime.Seconds(),
 		LearnSeconds:             learnDur.Seconds(),
 		LearnClauses:             def.Len(),
 		LearnCandidateBatches:    learnStats.Batches,
@@ -441,9 +367,6 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 		LearnEarlyExitRate:       learnStats.EarlyExitRate,
 		LearnProbes:              planStats.Probes,
 		LearnSearchNodes:         planStats.Nodes,
-		LearnSearchNodesFixed:    fixedStats.Nodes,
-		LearnBacktracksSaved:     fixedStats.Nodes - planStats.Nodes,
-		LearnSecondsFixed:        fixedDur.Seconds(),
 		SnapshotStoreBytes:       storeBytes,
 		SnapshotStoreFiles:       storeFiles,
 		SnapshotMaxBytes:         o.SnapshotMaxBytes,
@@ -466,13 +389,9 @@ func RunCoverage(ctx context.Context, o Options) (CoverageSummary, error) {
 	fprintf(w, "  candidate tier (pool %dp+%dn): serial=%.3fs  parallel[%d]=%.3fs (%.2fx, %d early exits)\n",
 		s.CandidatePoolPositives, s.CandidatePoolNegatives, s.CandidateSerialSeconds,
 		s.CandidateParallelism, s.CandidateParallelSeconds, s.CandidateParallelSpeedup, s.CandidateEarlyExits)
-	fprintf(w, "  literal planner: %d probes — %d wins / %d losses / %d ties (%d budget-capped; win rate %.0f%%), %d backtrack nodes saved, plan time %.4fs\n",
-		s.PlanProbes, s.PlanWins, s.PlanLosses, s.PlanTies, s.PlanBudgetHits, 100*s.PlanWinRate, s.PlanBacktracksSaved, s.PlanSeconds)
-	fprintf(w, "  covering run: %d clauses in %.3fs — %d batches, %d candidates, %d early exits (%.0f%% early-exit rate)\n",
+	fprintf(w, "  covering run: %d clauses in %.3fs — %d batches, %d candidates, %d early exits (%.0f%% early-exit rate), %d probes, %d search nodes\n",
 		s.LearnClauses, s.LearnSeconds, s.LearnCandidateBatches, s.LearnCandidatesScored,
-		s.LearnEarlyExits, 100*s.LearnEarlyExitRate)
-	fprintf(w, "  covering run planner A/B: %d probes, %d nodes planned vs %d fixed (%d saved); planner-off pass %.3fs\n",
-		s.LearnProbes, s.LearnSearchNodes, s.LearnSearchNodesFixed, s.LearnBacktracksSaved, s.LearnSecondsFixed)
+		s.LearnEarlyExits, 100*s.LearnEarlyExitRate, s.LearnProbes, s.LearnSearchNodes)
 	fprintf(w, "  snapshot store: %d files, %d bytes", s.SnapshotStoreFiles, s.SnapshotStoreBytes)
 	if s.SnapshotMaxBytes > 0 {
 		fprintf(w, " (cap %d, sweep removed %d)", s.SnapshotMaxBytes, s.SnapshotSweepRemoved)

@@ -46,20 +46,8 @@ func TestCoverageSummaryRoundTrip(t *testing.T) {
 		SnapshotMaxBytes:     1 << 30,
 		SnapshotSweepRemoved: 2,
 
-		PlanProbes:          128,
-		PlanWins:            90,
-		PlanLosses:          8,
-		PlanTies:            30,
-		PlanBudgetHits:      12,
-		PlanWinRate:         0.918,
-		PlanBacktracksSaved: 40000,
-		PlanSeconds:         0.004,
-
-		LearnProbes:           512,
-		LearnSearchNodes:      20000,
-		LearnSearchNodesFixed: 32000,
-		LearnBacktracksSaved:  12000,
-		LearnSecondsFixed:     2.1,
+		LearnProbes:      512,
+		LearnSearchNodes: 20000,
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_coverage.json")
 	if err := WriteCoverageJSON(path, want); err != nil {
@@ -93,10 +81,7 @@ func TestCoverageSummaryRoundTrip(t *testing.T) {
 		"candidate_parallel_speedup", "candidate_early_exits",
 		"snapshot_store_bytes", "snapshot_store_files",
 		"snapshot_max_bytes", "snapshot_sweep_removed",
-		"plan_probes", "plan_wins", "plan_losses", "plan_ties",
-		"plan_budget_hits", "plan_win_rate", "plan_backtracks_saved", "plan_seconds",
-		"learn_probes", "learn_search_nodes", "learn_search_nodes_fixed",
-		"learn_backtracks_saved", "learn_seconds_fixed",
+		"learn_probes", "learn_search_nodes",
 	} {
 		if _, ok := raw[key]; !ok {
 			t.Errorf("BENCH_coverage.json is missing key %q", key)
@@ -137,17 +122,8 @@ func TestRunCoverageQuick(t *testing.T) {
 	if s.SnapshotStoreBytes <= 0 || s.SnapshotStoreFiles != 1 {
 		t.Errorf("missing store occupancy: %+v", s)
 	}
-	if s.PlanProbes <= 0 || s.PlanWins+s.PlanLosses+s.PlanTies != s.PlanProbes {
-		t.Errorf("planner A/B tallies do not partition the probes: %+v", s)
-	}
-	if s.PlanWinRate < 0 || s.PlanWinRate > 1 {
-		t.Errorf("plan win rate %v out of range", s.PlanWinRate)
-	}
-	if s.LearnProbes <= 0 || s.LearnSearchNodes <= 0 || s.LearnSearchNodesFixed <= 0 {
-		t.Errorf("missing learner-pass planner measurements: %+v", s)
-	}
-	if s.LearnBacktracksSaved != s.LearnSearchNodesFixed-s.LearnSearchNodes {
-		t.Errorf("learn_backtracks_saved inconsistent: %+v", s)
+	if s.LearnProbes <= 0 || s.LearnSearchNodes <= 0 {
+		t.Errorf("missing learner-pass probe measurements: %+v", s)
 	}
 }
 

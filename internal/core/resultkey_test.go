@@ -44,16 +44,6 @@ func TestResultKeyCoversDefinitionAffectingOptions(t *testing.T) {
 	if ResultKey(p, threads) != baseKey {
 		t.Error("changing Threads changed the result key; definitions are thread-count invariant")
 	}
-
-	// The literal planner permutes search order inside one probe, never the
-	// learned definition, so — like Threads — the toggle must be excluded from
-	// the key or planner-on and planner-off runs would miss each other's
-	// cached results.
-	planner := base
-	planner.Subsumption.DisablePlanner = true
-	if ResultKey(p, planner) != baseKey {
-		t.Error("disabling the literal planner changed the result key; definitions are planner invariant")
-	}
 }
 
 // TestResultKeyDiffersByProblem guards against a degenerate fingerprint that

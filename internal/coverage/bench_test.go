@@ -152,7 +152,7 @@ func BenchmarkSubsumesPrepared(b *testing.B) {
 	b.Run("recompile", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, c := range cands {
-				subsumption.CompileCandidate(c).Probe(ctx, prep, subsumption.ProbeOptions{})
+				subsumption.CompileCandidate(c).Probe(ctx, prep, false)
 			}
 		}
 	})
@@ -164,7 +164,7 @@ func BenchmarkSubsumesPrepared(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, cc := range compiled {
-				cc.Probe(ctx, prep, subsumption.ProbeOptions{})
+				cc.Probe(ctx, prep, false)
 			}
 		}
 	})

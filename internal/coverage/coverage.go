@@ -61,9 +61,6 @@ type Evaluator struct {
 	// heatDecay is the heat-decay period in batches, DefaultHeatDecayInterval
 	// unless a test pins it; non-positive disables decay.
 	heatDecay int
-	// noPlanner disables the θ-subsumption literal planner on every probe
-	// the evaluator issues (Options.Subsumption.DisablePlanner).
-	noPlanner bool
 
 	// batches counts completed ScoreBatch calls; every heatDecay-th batch
 	// halves the heat of the examples it scored (see adaptiveOrder).
@@ -101,7 +98,6 @@ func NewEvaluator(opts Options) *Evaluator {
 		threads:    threads,
 		candPar:    candPar,
 		heatDecay:  DefaultHeatDecayInterval,
-		noPlanner:  opts.Subsumption.DisablePlanner,
 		repCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		cfdCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		stripCache: newShardedCache[logic.Clause](opts.CacheShards),

@@ -25,10 +25,6 @@ type probe struct {
 	// never be seen again, e.g. the generalization blocking scan).
 	cached bool
 	cand   *subsumption.CompiledCandidate
-	// plans memoizes θ-subsumption literal plans for the probes this batch
-	// issues, keyed by (compiled candidate, prepared example); batch-scoped
-	// like the probe itself, so its size is bounded by one batch's probes.
-	plans *subsumption.PlanCache
 
 	mu          sync.Mutex
 	stripped    *subsumption.CompiledCandidate
@@ -52,19 +48,13 @@ func (e *Evaluator) newProbe(c logic.Clause, cached bool) *probe {
 		hasCFD: clauseHasCFDRepairs(c),
 		cached: cached,
 		cand:   cand,
-		plans:  subsumption.NewPlanCache(),
 	}
 }
 
-// subsumes issues one instrumented θ-subsumption probe: the evaluator's
-// planner setting and the probe's batch-scoped plan cache are applied, and
-// the probe's work feeds the plan telemetry counters.
+// subsumes issues one instrumented θ-subsumption probe whose work feeds the
+// plan telemetry counters.
 func (p *probe) subsumes(ctx context.Context, cc *subsumption.CompiledCandidate, prep *subsumption.Prepared, plain bool) bool {
-	ok, _, st := cc.Probe(ctx, prep, subsumption.ProbeOptions{
-		Plain:     plain,
-		NoPlanner: p.e.noPlanner,
-		Cache:     p.plans,
-	})
+	ok, _, st := cc.Probe(ctx, prep, plain)
 	p.e.addProbeStats(st)
 	return ok
 }

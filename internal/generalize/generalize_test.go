@@ -124,7 +124,7 @@ func TestGeneralizeProducesSubsumingClause(t *testing.T) {
 	if !ok {
 		t.Fatal("generalization failed")
 	}
-	if sub, _, _ := subsumption.CompileCandidate(out).Probe(context.Background(), ch.Prepare(bottom), subsumption.ProbeOptions{}); !sub {
+	if sub, _, _ := subsumption.CompileCandidate(out).Probe(context.Background(), ch.Prepare(bottom), false); !sub {
 		t.Error("generalization must θ-subsume the clause it was derived from")
 	}
 	if out.Length() >= bottom.Length() {

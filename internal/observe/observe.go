@@ -80,9 +80,10 @@ type CandidateBatchScored struct {
 	Improved bool
 	// Probes is the number of θ-subsumption probes the batch issued, and
 	// SearchNodes the backtracking-search nodes they explored; PlannedProbes
-	// is how many of the probes the literal planner ordered (zero when the
-	// planner is disabled). Together they are the per-batch view of the
-	// evaluator's plan telemetry; PlanStats aggregates them across a run.
+	// is how many of the probes the literal planner ordered (probes rejected
+	// before the search carry no plan). Together they are the per-batch view
+	// of the evaluator's plan telemetry; PlanStats aggregates them across a
+	// run.
 	Probes        int64
 	SearchNodes   int64
 	PlannedProbes int64

@@ -56,10 +56,9 @@ type SchedulerSnapshot struct {
 
 // PlanStats aggregates the θ-subsumption plan telemetry carried by
 // CandidateBatchScored events: how many probes the batches issued, how many
-// of those the literal planner ordered, and how many backtracking-search
-// nodes the probes explored. Comparing the node total between a planner-on
-// and a planner-off run of the same problem is how the coverage benchmark
-// measures the planner's saving on a real learning workload.
+// of those the literal planner ordered (every probe that reached the search),
+// and how many backtracking-search nodes the probes explored. The coverage
+// benchmark reads it to report the search work of a real learning run.
 //
 // A PlanStats is an Observer; it is safe for concurrent use and may be
 // shared across many concurrent learning runs.

@@ -120,6 +120,11 @@ func TestJournalRerunsInterruptedJobs(t *testing.T) {
 	// Crash: abandon s1 without Shutdown. Both journal records still say
 	// queued — the running job never reached a terminal state.
 
+	// A record written by an older server may carry an option field this
+	// server no longer knows; recovery decodes leniently, so the job must
+	// still recover and run rather than be set aside as corrupt.
+	addJournalOption(t, filepath.Join(dir, queued.ID+jobFileExt), "no_literal_planner", true)
+
 	s2, client2, stop2 := bootServer(t, Config{MaxConcurrent: 1, JobDir: dir})
 	defer stop2()
 	if st := s2.Stats(); st.RecoveredJobs != 2 {
@@ -138,6 +143,36 @@ func TestJournalRerunsInterruptedJobs(t *testing.T) {
 		if st.Result == nil || st.Result.Definition == "" {
 			t.Errorf("re-run job %s has no result", id)
 		}
+	}
+}
+
+// addJournalOption rewrites the journal record at path so its problem's
+// options carry the extra field key = value.
+func addJournalOption(t *testing.T, path, key string, value any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	problem, ok := rec["problem"].(map[string]any)
+	if !ok {
+		t.Fatalf("journal record %s has no problem object", path)
+	}
+	opts, _ := problem["options"].(map[string]any)
+	if opts == nil {
+		opts = map[string]any{}
+	}
+	opts[key] = value
+	problem["options"] = opts
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -535,6 +535,18 @@ func TestSubmitRejectsMalformed(t *testing.T) {
 	if code := post(string(data)); code != http.StatusBadRequest {
 		t.Errorf("invalid options: %d, want 400", code)
 	}
+	// Job bodies decode strictly, so an option field the server does not
+	// know (here one older servers accepted) is rejected, not ignored.
+	var raw map[string]any
+	data, _ = json.Marshal(wire.EncodeProblem(serveProblem(t)))
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["options"] = map[string]any{"no_literal_planner": true}
+	data, _ = json.Marshal(raw)
+	if code := post(string(data)); code != http.StatusBadRequest {
+		t.Errorf("unknown option field: %d, want 400", code)
+	}
 
 	resp, err := http.Get(client.BaseURL + "/v1/jobs/doesnotexist")
 	if err != nil {

@@ -80,12 +80,8 @@ type Options struct {
 	GeneralizationSample int     `json:"generalization_sample,omitempty"`
 	NegativeSearchSample int     `json:"negative_search_sample,omitempty"`
 	SubsumptionMaxNodes  int     `json:"subsumption_max_nodes,omitempty"`
-	// NoLiteralPlanner disables the θ-subsumption literal planner for the
-	// job. Plans are permutations, so the learned definition is identical
-	// either way; like NoCache, the flag is excluded from every fingerprint.
-	NoLiteralPlanner bool `json:"no_literal_planner,omitempty"`
-	RepairMaxClauses int  `json:"repair_max_clauses,omitempty"`
-	RepairMaxStates  int  `json:"repair_max_states,omitempty"`
+	RepairMaxClauses     int     `json:"repair_max_clauses,omitempty"`
+	RepairMaxStates      int     `json:"repair_max_states,omitempty"`
 	// TimeoutSeconds is the job's deadline. The server clamps it to its
 	// configured maximum and applies its default when zero.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
@@ -301,9 +297,6 @@ func (o Options) EngineOptions() ([]dlearn.Option, error) {
 	}
 	if o.SubsumptionMaxNodes > 0 {
 		opts = append(opts, dlearn.WithSubsumptionBudget(o.SubsumptionMaxNodes))
-	}
-	if o.NoLiteralPlanner {
-		opts = append(opts, dlearn.WithLiteralPlanner(false))
 	}
 	if o.RepairMaxClauses > 0 || o.RepairMaxStates > 0 {
 		opts = append(opts, dlearn.WithRepairBudget(o.RepairMaxClauses, o.RepairMaxStates))

@@ -167,7 +167,7 @@ func TestEngineOptionsApplied(t *testing.T) {
 		TopMatches: 5, SimilarityThreshold: 0.7, MDMode: "exact", CFDRepairs: true,
 		NoiseTolerance: 0.125, MaxClauses: 9, MinPositiveCoverage: 3,
 		GeneralizationSample: 7, NegativeSearchSample: 11,
-		SubsumptionMaxNodes: 1234, NoLiteralPlanner: true, RepairMaxClauses: 8, RepairMaxStates: 99,
+		SubsumptionMaxNodes: 1234, RepairMaxClauses: 8, RepairMaxStates: 99,
 	}
 	cfg := engineFromWire(t, o).Config()
 	if cfg.Seed != 42 || cfg.Threads != 3 || cfg.CandidateParallelism != 2 ||
@@ -183,15 +183,6 @@ func TestEngineOptionsApplied(t *testing.T) {
 	if cfg.Subsumption.MaxNodes != 1234 || cfg.Repair.MaxClauses != 8 || cfg.Repair.MaxStates != 99 {
 		t.Errorf("budget options not applied: %+v", cfg)
 	}
-	if !cfg.Subsumption.DisablePlanner {
-		t.Errorf("no_literal_planner not applied: %+v", cfg.Subsumption)
-	}
-	// WithSubsumptionBudget must not clobber the planner toggle (it once
-	// replaced the whole subsumption.Options struct).
-	if engineFromWire(t, Options{NoLiteralPlanner: true, SubsumptionMaxNodes: 7}).Config().Subsumption.MaxNodes != 7 {
-		t.Error("budget lost when planner toggle set")
-	}
-
 	if _, err := (Options{MDMode: "telepathy"}).EngineOptions(); err == nil {
 		t.Error("unknown md_mode must be rejected")
 	}

@@ -2,7 +2,6 @@ package subsumption
 
 import (
 	"context"
-	"time"
 
 	"dlearn/internal/logic"
 )
@@ -96,74 +95,44 @@ func CompileCandidate(c logic.Clause) *CompiledCandidate {
 // Clause returns the clause the candidate was compiled from.
 func (cc *CompiledCandidate) Clause() logic.Clause { return cc.c }
 
-// ProbeOptions configures one instrumented probe of a candidate against a
-// prepared example. The zero value is the default probe: Definition 4.4
-// semantics with the literal planner enabled.
-type ProbeOptions struct {
-	// Plain ignores the repair-literal closure requirement of Definition
-	// 4.4: the classical θ-subsumption used between repaired clauses.
-	Plain bool
-	// NoPlanner disables the literal planner: the search tries literals in
-	// the candidate's fixed compilation (clause) order. The outcome is
-	// identical either way — plans are permutations — so this is the
-	// off-switch differential testing and A/B measurement probe against.
-	NoPlanner bool
-	// Cache, when non-nil, memoizes the probe's literal plan keyed by the
-	// (candidate, example) pair so repeated probes skip the O(n²) greedy.
-	Cache *PlanCache
-	// TimePlan measures the planning time into ProbeStats.PlanNanos. Off by
-	// default: the clock calls would tax the hot path for telemetry only
-	// the bench harness reads.
-	TimePlan bool
-}
-
-// ProbeStats reports how much work one probe did, for plan telemetry and the
-// planner-vs-fixed-order differential measurements.
+// ProbeStats reports how much work one probe did, for plan telemetry.
 type ProbeStats struct {
 	// Nodes is the number of backtracking-search nodes the probe explored
 	// (zero for probes rejected before the search: head mismatch or an
 	// infeasible literal).
 	Nodes int
 	// Planned reports whether the literal planner ordered this probe's
-	// search.
+	// search (false for probes rejected before the search).
 	Planned bool
-	// Infeasible reports a probe that bailed before searching because some
-	// literal of the candidate has no image in the example.
-	Infeasible bool
-	// Exhausted reports a search that hit its node budget (or was cancelled,
-	// which abandons the search the same way). An exhausted probe's "does not
-	// subsume" answer is conservative, not definitive, so differential
-	// comparisons must not treat it as an outcome.
+	// Exhausted reports a failed search that hit its node budget (or was
+	// cancelled, which abandons the search the same way). An exhausted
+	// probe's "does not subsume" answer is conservative, not definitive.
 	Exhausted bool
-	// PlanNanos is the time spent computing the literal plan; measured only
-	// when ProbeOptions.TimePlan is set.
-	PlanNanos int64
 }
 
 // Probe reports whether the candidate θ-subsumes the prepared clause under
-// Definition 4.4 (or classically, with ProbeOptions.Plain), returning the
+// Definition 4.4, or classically when plain is set (no repair-literal
+// closure requirement: the test used between repaired clauses), returning the
 // substitution when it does and the probe's work statistics. A cancelled
 // search stops at its next poll and reports no subsumption, the same
 // conservative answer an exhausted node budget produces.
-func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, o ProbeOptions) (bool, logic.Substitution, ProbeStats) {
+func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, plain bool) (bool, logic.Substitution, ProbeStats) {
 	if cc.c.Head.Pred != p.d.Head.Pred || len(cc.c.Head.Args) != len(p.d.Head.Args) {
 		return false, nil, ProbeStats{}
 	}
-	e := cc.against(ctx, p, o)
+	e := cc.against(ctx, p, plain)
 	ok, theta := e.run()
 	return ok, theta, ProbeStats{
-		Nodes:      e.nodes,
-		Planned:    e.planned,
-		Infeasible: e.infeasible,
-		Exhausted:  e.nodes >= e.maxNodes,
-		PlanNanos:  e.planNanos,
+		Nodes:     e.nodes,
+		Planned:   !e.infeasible,
+		Exhausted: !ok && e.nodes >= e.maxNodes,
 	}
 }
 
 // against instantiates the per-probe search state: candidate images of every
 // literal in the prepared clause (filtered by predicate key, arity and
 // constant positions) and the search order over them.
-func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, o ProbeOptions) *compiled {
+func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain bool) *compiled {
 	e := &compiled{
 		c: cc.c, d: prep.d,
 		varIndex:          cc.varIndex,
@@ -171,7 +140,7 @@ func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, o Prob
 		constraints:       cc.constraints,
 		varConstraints:    cc.varConstraints,
 		prep:              prep,
-		skipRepairClosure: o.Plain,
+		skipRepairClosure: plain,
 		maxNodes:          prep.maxNodes,
 		ctx:               ctx,
 	}
@@ -206,35 +175,9 @@ func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, o Prob
 		}
 		lits = append(lits, cl)
 	}
-	if o.NoPlanner {
-		// Fixed order: the candidate's compilation (clause) order, the
-		// baseline the planner's differential battery measures against.
-		e.lits = lits
-		return e
-	}
 	// Plan the search order: selectivity-greedy over the per-probe candidate
-	// images, reusing a cached plan for a repeated (candidate, example)
-	// probe. The plan is a permutation of lits, so it can change only the
+	// images. The plan is a permutation of lits, so it can change only the
 	// node count of the search, never its outcome.
-	key := planKey{cand: cc, prep: prep}
-	var plan []int
-	if o.Cache != nil {
-		plan = o.Cache.get(key)
-	}
-	if plan == nil {
-		var start time.Time
-		if o.TimePlan {
-			start = time.Now()
-		}
-		plan = planOrder(lits, len(cc.varNames), cc.headVars)
-		if o.TimePlan {
-			e.planNanos = time.Since(start).Nanoseconds()
-		}
-		if o.Cache != nil {
-			o.Cache.put(key, plan)
-		}
-	}
-	e.lits = applyPlan(lits, plan)
-	e.planned = true
+	e.lits = applyPlan(lits, planOrder(lits, len(cc.varNames), cc.headVars))
 	return e
 }

@@ -63,15 +63,15 @@ func TestPreparedSubsumesContextCancelled(t *testing.T) {
 	ch := New(Options{MaxNodes: 10_000_000})
 	prep := ch.Prepare(d)
 	cc := CompileCandidate(c)
-	if ok, _, _ := cc.Probe(context.Background(), prep, ProbeOptions{}); !ok {
+	if ok, _, _ := cc.Probe(context.Background(), prep, false); !ok {
 		t.Fatal("uncancelled prepared search should subsume")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if ok, _, st := cc.Probe(ctx, prep, ProbeOptions{}); ok || !st.Exhausted {
+	if ok, _, st := cc.Probe(ctx, prep, false); ok || !st.Exhausted {
 		t.Errorf("cancelled prepared search must conservatively report no subsumption (ok=%v, exhausted=%v)", ok, st.Exhausted)
 	}
-	if ok, _, _ := cc.Probe(context.Background(), prep, ProbeOptions{}); !ok {
+	if ok, _, _ := cc.Probe(context.Background(), prep, false); !ok {
 		t.Error("a cancelled probe must not change later answers on the same Prepared")
 	}
 }

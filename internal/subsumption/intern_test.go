@@ -75,7 +75,7 @@ func TestSharedInternerAcrossPrepareAndCompile(t *testing.T) {
 				)
 				prep := ch.Prepare(d)
 				cc := CompileCandidate(c)
-				if ok, _, _ := cc.Probe(t.Context(), prep, ProbeOptions{}); !ok {
+				if ok, _, _ := cc.Probe(t.Context(), prep, false); !ok {
 					t.Errorf("worker %d iter %d: candidate must subsume its prepared clause", w, i)
 					return
 				}
@@ -83,7 +83,7 @@ func TestSharedInternerAcrossPrepareAndCompile(t *testing.T) {
 					logic.Rel("head", logic.Var("x")),
 					logic.Rel(fmt.Sprintf("intern_missing_%d_%d", w, i), logic.Var("x")),
 				)
-				if ok, _, _ := CompileCandidate(miss).Probe(t.Context(), prep, ProbeOptions{}); ok {
+				if ok, _, _ := CompileCandidate(miss).Probe(t.Context(), prep, false); ok {
 					t.Errorf("worker %d iter %d: literal absent from d must not subsume", w, i)
 					return
 				}

@@ -1,7 +1,5 @@
 package subsumption
 
-import "sync"
-
 // This file implements the per-probe literal planner: before the
 // backtracking search starts, the candidate's body literals are greedily
 // ordered by estimated selectivity over the connected frontier — at every
@@ -22,8 +20,8 @@ import "sync"
 // exhausting the alternatives.
 //
 // Plans are pure permutations: the search still visits exactly the same
-// literal set under exactly the same semantics, which is what the
-// differential test battery (fuzz, property and engine-matrix tests) pins.
+// literal set under exactly the same semantics, which the differential test
+// battery (fuzz and property tests against a brute-force reference) pins.
 
 // planOrder returns the search order over the per-probe literals as a
 // permutation of their indices. At every step the frontier is the set of
@@ -86,51 +84,4 @@ func applyPlan(lits []compiledLit, plan []int) []compiledLit {
 		out[k] = lits[i]
 	}
 	return out
-}
-
-// planKey identifies one (candidate, example) probe. Both sides are
-// immutable and interned for the life of a batch (the evaluator memoizes
-// CompiledCandidates by clause key; Prepared examples are stable), so
-// pointer identity is a sound cache key.
-type planKey struct {
-	cand *CompiledCandidate
-	prep *Prepared
-}
-
-// PlanCache memoizes literal plans per (candidate, example) probe. A probe's
-// plan depends only on the candidate's compilation and the prepared
-// example's predicate index, so a repeated probe of the same pair — the
-// plain and Definition 4.4 modes of one coverage test, or a re-probe in a
-// later hill-climbing step of the same batch — reuses the stored permutation
-// instead of re-running the O(n²) greedy. The cache is scoped by its owner
-// (the coverage layer attaches one to each batch-scoped probe state), which
-// bounds its size to the probes of one batch. Safe for concurrent use.
-type PlanCache struct {
-	mu sync.Mutex
-	m  map[planKey][]int
-}
-
-// NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache { return &PlanCache{m: make(map[planKey][]int)} }
-
-// get returns the cached plan for the probe, or nil.
-func (pc *PlanCache) get(k planKey) []int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.m[k]
-}
-
-// put stores the plan for the probe. Plans are deterministic per key, so a
-// racing duplicate store is harmless.
-func (pc *PlanCache) put(k planKey, plan []int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.m[k] = plan
-}
-
-// Len returns the number of cached plans.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.m)
 }

@@ -158,62 +158,9 @@ func TestPlanOrderDeterministic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPlanCacheReusesPlans checks the batch-scoped memoization: a repeated
-// probe of the same (candidate, example) pair stores exactly one plan, and
-// the cached plan is the one a fresh greedy would produce.
-func TestPlanCacheReusesPlans(t *testing.T) {
-	ctx := context.Background()
-	c := logic.NewClause(
-		logic.Rel("p", logic.Var("x")),
-		logic.Rel("q", logic.Var("x"), logic.Var("y")),
-		logic.Rel("r", logic.Var("y")),
-	)
-	d := logic.NewClause(
-		logic.Rel("p", logic.Const("a")),
-		logic.Rel("q", logic.Const("a"), logic.Const("b")),
-		logic.Rel("q", logic.Const("a"), logic.Const("c")),
-		logic.Rel("r", logic.Const("b")),
-	)
-	ch := New(Options{})
-	prep := ch.Prepare(d)
-	cc := CompileCandidate(c)
-	cache := NewPlanCache()
-	for i := 0; i < 3; i++ {
-		ok, _, st := cc.Probe(ctx, prep, ProbeOptions{Cache: cache})
-		if !ok {
-			t.Fatal("probe must subsume")
-		}
-		if !st.Planned {
-			t.Fatal("probe must be planned")
-		}
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1", cache.Len())
-	}
-	cached := cache.get(planKey{cand: cc, prep: prep})
-	if cached == nil {
-		t.Fatal("plan not cached under the (candidate, example) key")
-	}
-	assertPermutation(t, cached, 2)
-
-	// A second example gets its own cache entry, not a stale reuse.
-	d2 := logic.NewClause(
-		logic.Rel("p", logic.Const("a")),
-		logic.Rel("q", logic.Const("a"), logic.Const("b")),
-		logic.Rel("r", logic.Const("b")),
-	)
-	prep2 := ch.Prepare(d2)
-	if ok, _, _ := cc.Probe(ctx, prep2, ProbeOptions{Cache: cache}); !ok {
-		t.Fatal("probe of second example must subsume")
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d plans, want 2 after a second example", cache.Len())
-	}
-}
-
-// TestProbeStatsModes pins the ProbeStats flags: planned on the default
-// path, not planned with NoPlanner or on an infeasible bail, exhausted only
-// when the node budget is hit.
+// TestProbeStatsModes pins the ProbeStats flags: planned on a searched
+// probe, not planned on an infeasible bail, exhausted only when a failed
+// search hit the node budget.
 func TestProbeStatsModes(t *testing.T) {
 	ctx := context.Background()
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x"), logic.Var("y")))
@@ -221,22 +168,26 @@ func TestProbeStatsModes(t *testing.T) {
 	prep := New(Options{}).Prepare(d)
 	cc := CompileCandidate(c)
 
-	if _, _, st := cc.Probe(ctx, prep, ProbeOptions{}); !st.Planned || st.Infeasible || st.Exhausted || st.Nodes == 0 {
-		t.Fatalf("default probe stats: %+v", st)
-	}
-	if _, _, st := cc.Probe(ctx, prep, ProbeOptions{NoPlanner: true}); st.Planned {
-		t.Fatalf("NoPlanner probe must not be planned: %+v", st)
+	if ok, _, st := cc.Probe(ctx, prep, false); !ok || !st.Planned || st.Exhausted || st.Nodes == 0 {
+		t.Fatalf("default probe stats: ok=%v %+v", ok, st)
 	}
 
 	// Infeasible: a candidate literal with no image bails before planning.
 	cMiss := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("nope", logic.Var("x")))
-	if ok, _, st := CompileCandidate(cMiss).Probe(ctx, prep, ProbeOptions{}); ok || !st.Infeasible || st.Planned || st.Nodes != 0 {
+	if ok, _, st := CompileCandidate(cMiss).Probe(ctx, prep, false); ok || st.Planned || st.Exhausted || st.Nodes != 0 {
 		t.Fatalf("infeasible probe stats: ok=%v %+v", ok, st)
 	}
 
 	// Exhausted: a one-node budget cannot finish any real search.
 	tiny := New(Options{MaxNodes: 1}).Prepare(d)
-	if ok, _, st := cc.Probe(ctx, tiny, ProbeOptions{}); ok || !st.Exhausted {
+	if ok, _, st := cc.Probe(ctx, tiny, false); ok || !st.Exhausted {
 		t.Fatalf("budget-capped probe stats: ok=%v %+v", ok, st)
+	}
+
+	// A search that succeeds on exactly its last budgeted node found its
+	// match, so it is not exhausted.
+	exact := New(Options{MaxNodes: 2}).Prepare(d)
+	if ok, _, st := cc.Probe(ctx, exact, false); !ok || st.Nodes != 2 || st.Exhausted {
+		t.Fatalf("probe succeeding on its last budgeted node: ok=%v %+v", ok, st)
 	}
 }

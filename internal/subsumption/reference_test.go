@@ -156,32 +156,20 @@ func bruteClosureOK(d logic.Clause, mapped map[int]bool) bool {
 
 // checkAgainstReference is the differential battery: the optimized search,
 // through a reusable CompiledCandidate probing a Prepared (the package's one
-// θ-subsumption entry point) with the literal planner on, off, and
-// plan-cached, must agree with the brute-force reference on the pair (c, d),
-// in both Definition 4.4 and plain modes. Plans are permutations, so every
-// leg must produce the same outcome; any divergence is a planner or search
-// bug.
+// θ-subsumption entry point) in its planned literal order, must agree with
+// the brute-force reference on the pair (c, d), in both Definition 4.4 and
+// plain modes. Plans are permutations, so any divergence is a planner or
+// search bug.
 func checkAgainstReference(t *testing.T, ch *Checker, c, d logic.Clause) {
 	t.Helper()
 	ctx := context.Background()
 	prep := ch.Prepare(d)
 	cc := CompileCandidate(c)
-	cache := NewPlanCache()
 	for _, plain := range []bool{false, true} {
 		want := bruteForceSubsumes(c, d, plain)
-		for _, leg := range []struct {
-			name string
-			o    ProbeOptions
-		}{
-			{"planned", ProbeOptions{Plain: plain}},
-			{"fixed", ProbeOptions{Plain: plain, NoPlanner: true}},
-			{"cached-plan", ProbeOptions{Plain: plain, Cache: cache}},
-		} {
-			gotProbe, _, _ := cc.Probe(ctx, prep, leg.o)
-			if gotProbe != want {
-				t.Fatalf("disagreement (plain=%v, %s probe): brute=%v probe=%v\nc = %v\nd = %v",
-					plain, leg.name, want, gotProbe, c, d)
-			}
+		if got, _, _ := cc.Probe(ctx, prep, plain); got != want {
+			t.Fatalf("disagreement (plain=%v): brute=%v probe=%v\nc = %v\nd = %v",
+				plain, want, got, c, d)
 		}
 	}
 }
@@ -336,9 +324,9 @@ func fuzzClause(s *byteSrc, maxLits int, groundBias bool) logic.Clause {
 }
 
 // FuzzSubsumes cross-checks the optimized θ-subsumption search (a
-// CompiledCandidate probing a Prepared, plain and Definition 4.4 modes,
-// planner on, off and plan-cached) against the brute-force reference on
-// generated clause pairs.
+// CompiledCandidate probing a Prepared in planned order, plain and
+// Definition 4.4 modes) against the brute-force reference on generated
+// clause pairs.
 func FuzzSubsumes(f *testing.F) {
 	f.Add([]byte("dlearn"))
 	f.Add([]byte("subsumption-fuzz-seed"))

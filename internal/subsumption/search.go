@@ -33,14 +33,8 @@ type compiled struct {
 	// infeasible marks a probe where some literal of c has no candidate
 	// image in d; the search is skipped entirely.
 	infeasible bool
-	// planned reports whether the literal planner ordered lits (false when
-	// the planner is disabled or the probe bailed as infeasible).
-	planned bool
-	// planNanos is the time spent computing the literal plan, measured only
-	// when the probe asked for it (ProbeOptions.TimePlan).
-	planNanos int64
-	maxNodes  int
-	nodes     int
+	maxNodes   int
+	nodes      int
 
 	// ctx cancels the search: the node loop polls it periodically and a
 	// cancelled search reports "does not subsume", exactly like an exhausted

@@ -32,9 +32,8 @@ func TestSnapshotRestoreBehavesIdentically(t *testing.T) {
 
 		cc := CompileCandidate(c)
 		for _, plain := range []bool{false, true} {
-			o := ProbeOptions{Plain: plain}
-			got, _, _ := cc.Probe(t.Context(), restored, o)
-			want, _, _ := cc.Probe(t.Context(), orig, o)
+			got, _, _ := cc.Probe(t.Context(), restored, plain)
+			want, _, _ := cc.Probe(t.Context(), orig, plain)
 			if got != want {
 				t.Fatalf("case %d (plain=%v): restored probe=%v, original=%v\nc=%s\nd=%s", i, plain, got, want, c, d)
 			}
@@ -66,7 +65,7 @@ func TestRestoreClampsMaxNodes(t *testing.T) {
 	s.MaxNodes = 0
 	p := RestorePrepared(s)
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	if ok, _, _ := CompileCandidate(c).Probe(t.Context(), p, ProbeOptions{}); !ok {
+	if ok, _, _ := CompileCandidate(c).Probe(t.Context(), p, false); !ok {
 		t.Fatal("restored Prepared with zero MaxNodes cannot search")
 	}
 }

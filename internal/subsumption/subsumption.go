@@ -22,14 +22,6 @@ type Options struct {
 	// MaxNodes caps the number of search nodes explored. Zero means
 	// DefaultMaxNodes.
 	MaxNodes int
-	// DisablePlanner turns off the per-probe literal planner, so the
-	// backtracking search tries the candidate's body literals in clause
-	// order instead of selectivity order. The planner never changes a
-	// probe's outcome — plans are permutations — so this switch exists for
-	// differential testing and A/B measurement, is off (planner on) by
-	// default, and is deliberately excluded from snapshot and result
-	// fingerprints.
-	DisablePlanner bool
 }
 
 // DefaultMaxNodes is the default search budget.

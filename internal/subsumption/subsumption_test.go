@@ -13,7 +13,7 @@ func checker() *Checker { return New(Options{}) }
 
 // subsumes is the one-shot θ-subsumption test c ⊆θ d (Definition 4.4)
 // through the package's single entry point: prepare d, compile c and probe
-// once, honouring the checker's planner setting.
+// once.
 func subsumes(ch *Checker, c, d logic.Clause) (bool, logic.Substitution) {
 	return probeClauses(context.Background(), ch, c, d, false)
 }
@@ -24,7 +24,7 @@ func subsumesPlain(ch *Checker, c, d logic.Clause) (bool, logic.Substitution) {
 }
 
 func probeClauses(ctx context.Context, ch *Checker, c, d logic.Clause, plain bool) (bool, logic.Substitution) {
-	ok, theta, _ := CompileCandidate(c).Probe(ctx, ch.Prepare(d), ProbeOptions{Plain: plain, NoPlanner: ch.Opts.DisablePlanner})
+	ok, theta, _ := CompileCandidate(c).Probe(ctx, ch.Prepare(d), plain)
 	return ok, theta
 }
 

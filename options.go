@@ -89,16 +89,6 @@ func WithSubsumptionBudget(maxNodes int) Option {
 	return func(e *Engine) { e.cfg.Subsumption.MaxNodes = maxNodes }
 }
 
-// WithLiteralPlanner toggles the θ-subsumption literal planner, which orders
-// each probe's body literals by estimated selectivity before the backtracking
-// search (on by default). Plans are permutations, so the learned definition is
-// identical either way — only search node counts change; the off switch exists
-// for differential testing and A/B measurement and is excluded from snapshot
-// and result-cache fingerprints.
-func WithLiteralPlanner(enabled bool) Option {
-	return func(e *Engine) { e.cfg.Subsumption.DisablePlanner = !enabled }
-}
-
 // WithRepairBudget bounds repaired-clause expansion during coverage testing:
 // at most maxClauses distinct repaired clauses per clause, exploring at most
 // maxStates intermediate states.
