@@ -16,13 +16,9 @@
 //	dlearn-bench -exp table4 -json ""   # disable the JSON summary
 //
 // Experiments: table3, table4, table5, table6, table7, fig1left, fig1mid,
-// fig1right, coverage, scale, all. The coverage experiment is a
-// micro-benchmark of the candidate-evaluation pipeline; its
-// BENCH_coverage.json records the throughput numbers tracked across engine
-// versions. The scale experiment reruns that
-// workload at 1x/10x(/100x) tuple multipliers and writes BENCH_scale.json
-// with the data layer's growth curve (prepare seconds, resident bytes,
-// snapshot bytes, cover tests/s at each scale).
+// fig1right, all. The repository's performance benchmark lives in perfbench/
+// (see perfbench/README.md); the coverage hot path also has Go benchmarks
+// (go test -bench . ./internal/coverage).
 package main
 
 import (
@@ -32,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
 	"strings"
 	"syscall"
 
@@ -41,15 +36,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment to run: table3|table4|table5|table6|table7|fig1left|fig1mid|fig1right|coverage|scale|all")
+		exp     = flag.String("exp", "all", "experiment to run: table3|table4|table5|table6|table7|fig1left|fig1mid|fig1right|all")
 		quick   = flag.Bool("quick", false, "shrink datasets and sweeps for a fast smoke run")
 		seed    = flag.Int64("seed", 1, "random seed for data generation and splits")
 		threads = flag.Int("threads", 16, "parallel coverage-testing workers")
 		folds   = flag.Int("folds", 0, "cross-validation folds (default: 5, or 2 with -quick)")
 		jsonDir = flag.String("json", ".", "directory for BENCH_<exp>.json timing summaries (empty disables)")
-		snapDir = flag.String("snapshot-dir", "", "snapshot directory for the coverage experiment's warm-start measurement (empty uses a throwaway temp dir)")
-		snapMax = flag.Int64("snapshot-max-bytes", 0, "size cap on the snapshot store; least-recently-used snapshots are swept until it fits (0 = unbounded)")
-		candPar = flag.Int("candidate-parallelism", 0, "outer-tier workers of the two-tier coverage scheduler (0 = default)")
 	)
 	flag.Parse()
 
@@ -65,68 +57,28 @@ func main() {
 	if *folds > 0 {
 		opts.Folds = *folds
 	}
-	opts.SnapshotDir = *snapDir
-	opts.SnapshotMaxBytes = *snapMax
-	opts.CandidateParallelism = *candPar
 	opts.Out = os.Stdout
 
-	runners := map[string]func(context.Context, bench.Options) error{
-		"table3":   func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable3(ctx, o); return err },
-		"table4":   func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable4(ctx, o); return err },
-		"table5":   func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable5(ctx, o); return err },
-		"table6":   func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable6(ctx, o); return err },
-		"table7":   func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable7(ctx, o); return err },
-		"fig1left": func(ctx context.Context, o bench.Options) error { _, err := bench.RunFigure1Left(ctx, o); return err },
-		"fig1mid":  func(ctx context.Context, o bench.Options) error { _, err := bench.RunFigure1Middle(ctx, o); return err },
-		"fig1right": func(ctx context.Context, o bench.Options) error {
-			_, err := bench.RunFigure1Right(ctx, o)
-			return err
-		},
+	// experiments lists every runner in the order -exp all runs them.
+	experiments := []struct {
+		name string
+		run  func(context.Context, bench.Options) error
+	}{
+		{"table3", func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable3(ctx, o); return err }},
+		{"table4", func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable4(ctx, o); return err }},
+		{"table5", func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable5(ctx, o); return err }},
+		{"table6", func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable6(ctx, o); return err }},
+		{"table7", func(ctx context.Context, o bench.Options) error { _, err := bench.RunTable7(ctx, o); return err }},
+		{"fig1left", func(ctx context.Context, o bench.Options) error { _, err := bench.RunFigure1Left(ctx, o); return err }},
+		{"fig1mid", func(ctx context.Context, o bench.Options) error { _, err := bench.RunFigure1Middle(ctx, o); return err }},
+		{"fig1right", func(ctx context.Context, o bench.Options) error { _, err := bench.RunFigure1Right(ctx, o); return err }},
 	}
-	order := []string{"table3", "table4", "table5", "table6", "table7", "fig1left", "fig1mid", "fig1right", "coverage", "scale"}
 
 	// runOne executes one experiment with a fresh timing collector and, when
-	// enabled, writes its BENCH_<name>.json summary next to the tables. The
-	// coverage micro-benchmark produces its own summary shape instead of the
-	// observer-event aggregate.
-	runOne := func(name string) error {
-		o := opts
-		if name == "coverage" {
-			summary, err := bench.RunCoverage(ctx, o)
-			if err != nil {
-				return err
-			}
-			if *jsonDir == "" {
-				return nil
-			}
-			path := filepath.Join(*jsonDir, "BENCH_coverage.json")
-			if err := bench.WriteCoverageJSON(path, summary); err != nil {
-				return fmt.Errorf("writing %s: %w", path, err)
-			}
-			fmt.Printf("wrote %s\n", path)
-			return nil
-		}
-		if name == "scale" {
-			summary, err := bench.RunScale(ctx, o)
-			if err != nil {
-				return err
-			}
-			if *jsonDir == "" {
-				return nil
-			}
-			path := filepath.Join(*jsonDir, "BENCH_scale.json")
-			if err := bench.WriteScaleJSON(path, summary); err != nil {
-				return fmt.Errorf("writing %s: %w", path, err)
-			}
-			fmt.Printf("wrote %s\n", path)
-			return nil
-		}
-		run, ok := runners[name]
-		if !ok {
-			// order and runners diverged; fail with a message, not a nil call.
-			return fmt.Errorf("experiment %q is listed but has no runner", name)
-		}
+	// enabled, writes its BENCH_<name>.json summary next to the tables.
+	runOne := func(name string, run func(context.Context, bench.Options) error) error {
 		collector := bench.NewTimingCollector()
+		o := opts
 		o.Observer = collector
 		if err := run(ctx, o); err != nil {
 			return err
@@ -144,22 +96,26 @@ func main() {
 
 	selected := strings.ToLower(*exp)
 	if selected == "all" {
-		for _, name := range order {
-			if err := runOne(name); err != nil {
-				fmt.Fprintf(os.Stderr, "dlearn-bench: %s: %v\n", name, err)
+		for _, e := range experiments {
+			if err := runOne(e.name, e.run); err != nil {
+				fmt.Fprintf(os.Stderr, "dlearn-bench: %s: %v\n", e.name, err)
 				os.Exit(1)
 			}
 			fmt.Println()
 		}
 		return
 	}
-	if !slices.Contains(order, selected) {
-		fmt.Fprintf(os.Stderr, "dlearn-bench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	for _, e := range experiments {
+		if e.name != selected {
+			continue
+		}
+		if err := runOne(e.name, e.run); err != nil {
+			fmt.Fprintf(os.Stderr, "dlearn-bench: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
-	if err := runOne(selected); err != nil {
-		fmt.Fprintf(os.Stderr, "dlearn-bench: %v\n", err)
-		os.Exit(1)
-	}
+	fmt.Fprintf(os.Stderr, "dlearn-bench: unknown experiment %q\n", *exp)
+	flag.Usage()
+	os.Exit(2)
 }

@@ -435,6 +435,35 @@ func TestEngineObserverEventStream(t *testing.T) {
 	}
 }
 
+// TestEngineCandidateBatchesReportProbes pins the probe telemetry of a real
+// covering run: some candidate batch issues θ-subsumption probes that explore
+// search nodes, and no batch reports more planned probes than probes.
+func TestEngineCandidateBatchesReportProbes(t *testing.T) {
+	p := buildTinyProblemFluent(t)
+	var batches []dlearn.CandidateBatchScored
+	eng := dlearn.New(append(tinyEngineOptions(),
+		dlearn.WithObserver(dlearn.ObserverFunc(func(e dlearn.Event) {
+			if b, ok := e.(dlearn.CandidateBatchScored); ok {
+				batches = append(batches, b)
+			}
+		})))...)
+	if _, _, err := eng.Learn(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	searched := false
+	for _, b := range batches {
+		if b.PlannedProbes > b.Probes {
+			t.Errorf("batch reports %d planned probes of %d probes: %+v", b.PlannedProbes, b.Probes, b)
+		}
+		if b.Probes > 0 && b.SearchNodes > 0 {
+			searched = true
+		}
+	}
+	if !searched {
+		t.Errorf("no candidate batch reported probes and search nodes in %d batches: %+v", len(batches), batches)
+	}
+}
+
 func TestEngineRunBaseline(t *testing.T) {
 	p := buildTinyProblemFluent(t)
 	def, model, report, err := dlearn.New(tinyEngineOptions()...).

@@ -42,22 +42,6 @@ type Options struct {
 	// performs (a TimingCollector aggregates them into a machine-readable
 	// summary); nil discards them.
 	Observer observe.Observer
-	// CandidateParallelism is the outer-tier worker count of the two-tier
-	// coverage scheduler (candidates in flight at once); zero selects
-	// coverage.DefaultCandidateParallelism.
-	CandidateParallelism int
-	// SnapshotDir is where the coverage micro-benchmark persists prepared
-	// examples to measure cold vs warm starts. Empty means a throwaway
-	// temporary directory. The benchmark always measures the cold prepare
-	// (and rewrites the snapshot) so its numbers stay comparable across
-	// runs; a persistent directory only keeps the resulting snapshot
-	// around, e.g. for warm-starting dlearn-learn.
-	SnapshotDir string
-	// SnapshotMaxBytes caps the snapshot store: after the coverage
-	// experiment's write-back, least-recently-used snapshots are swept until
-	// the store fits, and the post-sweep occupancy is reported in
-	// BENCH_coverage.json. Zero means unbounded.
-	SnapshotMaxBytes int64
 }
 
 // DefaultOptions mirrors the paper's experimental setup.

@@ -3,11 +3,13 @@ package coverage
 import (
 	"context"
 	"fmt"
+	"os"
 	"testing"
 
 	"dlearn/internal/bottomclause"
 	"dlearn/internal/constraints"
 	"dlearn/internal/logic"
+	"dlearn/internal/persist"
 	"dlearn/internal/relation"
 	"dlearn/internal/subsumption"
 )
@@ -116,7 +118,7 @@ func benchExamples(tb testing.TB, nMovies, nPos, nNeg int) (*bottomclause.Builde
 
 // BenchmarkScoreClauseExamples is the regression benchmark for the hot path
 // of the covering search: scoring a set of candidate clauses over prepared
-// examples. Its throughput is tracked in BENCH_coverage.json.
+// examples. It reports its throughput as covertests/s.
 func BenchmarkScoreClauseExamples(b *testing.B) {
 	_, posG, negG := benchExamples(b, 120, 16, 16)
 	cands := benchCandidates()
@@ -134,6 +136,49 @@ func BenchmarkScoreClauseExamples(b *testing.B) {
 			}
 			scores := float64(b.N) * float64(len(cands)) * float64(len(posEx)+len(negEx))
 			b.ReportMetric(scores/b.Elapsed().Seconds(), "covertests/s")
+		})
+	}
+}
+
+// BenchmarkLoadOrPrepareExamples measures the two starts of the snapshot
+// store. A cold start prepares every example fresh and writes the snapshot
+// back; a warm start loads, decodes and restores it into a fresh evaluator.
+// The second instance holds ten times the movies behind the same examples,
+// so the pair shows how both starts and the snapshot grow with the database.
+func BenchmarkLoadOrPrepareExamples(b *testing.B) {
+	ctx := context.Background()
+	key := snapshotTestKey()
+	for _, movies := range []int{120, 1200} {
+		_, posG, negG := benchExamples(b, movies, 16, 16)
+		b.Run(fmt.Sprintf("movies=%d/cold", movies), func(b *testing.B) {
+			dir := b.TempDir()
+			for i := 0; i < b.N; i++ {
+				_, _, out, err := NewEvaluator(Options{}).LoadOrPrepareExamples(ctx, persist.NewDirStore(dir), key, posG, negG)
+				if err != nil || out.Hit || out.WriteErr != nil {
+					b.Fatalf("cold start: hit=%v err=%v write err=%v", out.Hit, err, out.WriteErr)
+				}
+				b.StopTimer()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+		b.Run(fmt.Sprintf("movies=%d/warm", movies), func(b *testing.B) {
+			store := persist.NewDirStore(b.TempDir())
+			if _, _, _, err := NewEvaluator(Options{}).LoadOrPrepareExamples(ctx, store, key, posG, negG); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var bytes int
+			for i := 0; i < b.N; i++ {
+				_, _, out, err := NewEvaluator(Options{}).LoadOrPrepareExamples(ctx, store, key, posG, negG)
+				if err != nil || !out.Hit {
+					b.Fatalf("warm start missed the snapshot store: %s (err %v)", out.Reason, err)
+				}
+				bytes = out.Bytes
+			}
+			b.ReportMetric(float64(bytes), "snapshot_bytes")
 		})
 	}
 }

@@ -108,13 +108,6 @@ func NewEvaluator(opts Options) *Evaluator {
 // Threads returns the worker-pool size used for batch scoring.
 func (e *Evaluator) Threads() int { return e.threads }
 
-// CandidateParallelism returns the outer-tier worker count of the candidate
-// scheduler.
-func (e *Evaluator) CandidateParallelism() int { return e.candPar }
-
-// CacheShards returns the number of lock stripes per memo table.
-func (e *Evaluator) CacheShards() int { return len(e.repCache.shards) }
-
 // candidateCached returns the compiled (subsuming-side) form of a clause,
 // compiling it on first use. Compiled candidates are immutable and shared by
 // all workers probing prepared examples.

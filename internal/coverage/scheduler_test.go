@@ -178,8 +178,7 @@ func TestScoreBatchHeatAccumulates(t *testing.T) {
 // BenchmarkScoreCandidates is the small-example-pool benchmark: the pool is
 // far smaller than a 16-thread inner pool, so serial candidate scoring
 // leaves most workers idle; the two-tier scheduler overlaps candidates and
-// must beat it. Tracked via candidate_parallel_speedup in
-// BENCH_coverage.json.
+// must beat it.
 func BenchmarkScoreCandidates(b *testing.B) {
 	_, posG, negG := benchExamples(b, 120, 6, 6)
 	cands := benchCandidates()

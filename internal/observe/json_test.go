@@ -112,42 +112,6 @@ func TestSchedulerStatsAggregation(t *testing.T) {
 	}
 }
 
-func TestPlanStatsAggregation(t *testing.T) {
-	s := NewPlanStats()
-	s.Observe(RunStarted{}) // ignored
-	s.Observe(CandidateBatchScored{Probes: 10, PlannedProbes: 8, SearchNodes: 500})
-	s.Observe(CandidateBatchScored{Probes: 6, PlannedProbes: 6, SearchNodes: 120})
-	snap := s.Snapshot()
-	if snap.Batches != 2 || snap.Probes != 16 || snap.Planned != 14 || snap.Nodes != 620 {
-		t.Fatalf("bad totals: %+v", snap)
-	}
-	if want := 14.0 / 16.0; snap.PlannedRate != want {
-		t.Errorf("PlannedRate = %v, want %v", snap.PlannedRate, want)
-	}
-	if NewPlanStats().Snapshot().PlannedRate != 0 {
-		t.Error("empty aggregator must report rate 0")
-	}
-}
-
-func TestPlanStatsConcurrent(t *testing.T) {
-	s := NewPlanStats()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.Observe(CandidateBatchScored{Probes: 3, PlannedProbes: 2, SearchNodes: 7})
-			}
-		}()
-	}
-	wg.Wait()
-	snap := s.Snapshot()
-	if snap.Batches != 800 || snap.Probes != 2400 || snap.Planned != 1600 || snap.Nodes != 5600 {
-		t.Fatalf("lost updates: %+v", snap)
-	}
-}
-
 func TestSchedulerStatsConcurrent(t *testing.T) {
 	s := NewSchedulerStats()
 	var wg sync.WaitGroup

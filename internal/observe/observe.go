@@ -82,8 +82,7 @@ type CandidateBatchScored struct {
 	// SearchNodes the backtracking-search nodes they explored; PlannedProbes
 	// is how many of the probes the literal planner ordered (probes rejected
 	// before the search carry no plan). Together they are the per-batch view
-	// of the evaluator's plan telemetry; PlanStats aggregates them across a
-	// run.
+	// of the evaluator's plan telemetry.
 	Probes        int64
 	SearchNodes   int64
 	PlannedProbes int64

@@ -54,65 +54,6 @@ type SchedulerSnapshot struct {
 	EarlyExitRate float64
 }
 
-// PlanStats aggregates the θ-subsumption plan telemetry carried by
-// CandidateBatchScored events: how many probes the batches issued, how many
-// of those the literal planner ordered (every probe that reached the search),
-// and how many backtracking-search nodes the probes explored. The coverage
-// benchmark reads it to report the search work of a real learning run.
-//
-// A PlanStats is an Observer; it is safe for concurrent use and may be
-// shared across many concurrent learning runs.
-type PlanStats struct {
-	batches atomic.Int64
-	probes  atomic.Int64
-	planned atomic.Int64
-	nodes   atomic.Int64
-}
-
-// NewPlanStats returns an empty aggregator.
-func NewPlanStats() *PlanStats { return &PlanStats{} }
-
-// Observe accumulates one event; events other than CandidateBatchScored are
-// ignored.
-func (s *PlanStats) Observe(e Event) {
-	ev, ok := e.(CandidateBatchScored)
-	if !ok {
-		return
-	}
-	s.batches.Add(1)
-	s.probes.Add(ev.Probes)
-	s.planned.Add(ev.PlannedProbes)
-	s.nodes.Add(ev.SearchNodes)
-}
-
-// PlanSnapshot is a point-in-time copy of the aggregated plan telemetry.
-type PlanSnapshot struct {
-	// Batches is the number of candidate batches observed.
-	Batches int64
-	// Probes is the total number of θ-subsumption probes those batches
-	// issued, and Planned how many of them the literal planner ordered.
-	Probes, Planned int64
-	// Nodes is the total number of backtracking-search nodes explored.
-	Nodes int64
-	// PlannedRate is Planned / Probes, zero when no probes ran yet.
-	PlannedRate float64
-}
-
-// Snapshot returns the current totals, with the same telemetry-view (not
-// transactional) semantics as SchedulerStats.Snapshot.
-func (s *PlanStats) Snapshot() PlanSnapshot {
-	snap := PlanSnapshot{
-		Batches: s.batches.Load(),
-		Probes:  s.probes.Load(),
-		Planned: s.planned.Load(),
-		Nodes:   s.nodes.Load(),
-	}
-	if snap.Probes > 0 {
-		snap.PlannedRate = float64(snap.Planned) / float64(snap.Probes)
-	}
-	return snap
-}
-
 // Snapshot returns the current totals. Concurrent Observe calls may land
 // between the individual counter reads; the snapshot is a telemetry view,
 // not a transactional one.

@@ -239,17 +239,20 @@ func (s *DirStore) compact(protect string) (CompactStats, error) {
 
 	if s.maxBytes > 0 && total > s.maxBytes {
 		// Stable order with a path tie-break: coarse filesystem timestamps
-		// can tie, and the sweep must stay deterministic when they do.
+		// can tie, and the sweep must stay deterministic when they do. The
+		// protected snapshot sorts as the most recent whatever its
+		// timestamp, so the loop bound that spares the newest snapshot is
+		// what spares it.
 		sort.SliceStable(snaps, func(i, j int) bool {
+			if pi, pj := snaps[i].path == protect, snaps[j].path == protect; pi != pj {
+				return pj
+			}
 			if !snaps[i].mtime.Equal(snaps[j].mtime) {
 				return snaps[i].mtime.Before(snaps[j].mtime)
 			}
 			return snaps[i].path < snaps[j].path
 		})
 		for i := 0; i < len(snaps)-1 && total > s.maxBytes; i++ {
-			if snaps[i].path == protect {
-				continue
-			}
 			if err := os.Remove(snaps[i].path); err != nil {
 				continue
 			}
