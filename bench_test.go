@@ -258,7 +258,8 @@ func BenchmarkAblationParallelCoverage(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.CountPositiveExamples(context.Background(), clause, exs)
+				ev.CoverageBits(context.Background(), clause, exs)
+				ev.CountNegativeExamples(context.Background(), clause, exs)
 			}
 		})
 	}

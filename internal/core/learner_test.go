@@ -207,11 +207,16 @@ func TestLearnerConfigDefaults(t *testing.T) {
 
 func TestUncoveredBitmapSubtract(t *testing.T) {
 	unc := coverage.FullBits(5)
-	covered := coverage.NewBits(5)
-	covered.Set(1)
-	covered.Set(3)
+	covered := coverage.FullBits(5)
+	for _, i := range []int{0, 2, 4} {
+		covered.Clear(i)
+	}
 	unc.AndNot(covered)
-	if got := unc.Indices(); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
+	var got []int
+	for i := unc.Next(0); i >= 0; i = unc.Next(i + 1) {
+		got = append(got, i)
+	}
+	if len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Errorf("uncovered after AndNot = %v, want [0 2 4]", got)
 	}
 	unc.Clear(0)

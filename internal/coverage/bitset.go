@@ -20,15 +20,15 @@ type Bits struct {
 	words []uint64
 }
 
-// NewBits returns an empty bitmap over n example indices.
-func NewBits(n int) *Bits {
+// newBits returns an empty bitmap over n example indices.
+func newBits(n int) *Bits {
 	return &Bits{n: n, words: make([]uint64, (n+63)/64)}
 }
 
 // FullBits returns a bitmap over n example indices with every bit set — the
 // initial "all positives uncovered" state of the covering loop.
 func FullBits(n int) *Bits {
-	b := NewBits(n)
+	b := newBits(n)
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
 	}
@@ -40,7 +40,7 @@ func FullBits(n int) *Bits {
 
 // bitsFromMask packs a per-index boolean mask into a bitmap.
 func bitsFromMask(mask []bool) *Bits {
-	b := NewBits(len(mask))
+	b := newBits(len(mask))
 	for i, set := range mask {
 		if set {
 			b.words[i/64] |= uint64(1) << (i % 64)
@@ -49,17 +49,8 @@ func bitsFromMask(mask []bool) *Bits {
 	return b
 }
 
-// Len returns the size of the index space the bitmap covers.
-func (b *Bits) Len() int { return b.n }
-
-// Set marks index i.
-func (b *Bits) Set(i int) { b.words[i/64] |= uint64(1) << (i % 64) }
-
 // Clear unmarks index i.
 func (b *Bits) Clear(i int) { b.words[i/64] &^= uint64(1) << (i % 64) }
-
-// Get reports whether index i is marked.
-func (b *Bits) Get(i int) bool { return b.words[i/64]&(uint64(1)<<(i%64)) != 0 }
 
 // Count returns the number of marked indices.
 func (b *Bits) Count() int {
@@ -88,21 +79,6 @@ func (b *Bits) AndNot(o *Bits) {
 	}
 }
 
-// And intersects with o (b &= o). The bitmaps must cover the same example
-// set.
-func (b *Bits) And(o *Bits) {
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-// Or unions with o (b |= o). The bitmaps must cover the same example set.
-func (b *Bits) Or(o *Bits) {
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
 // Next returns the first marked index ≥ from, or -1 if there is none.
 func (b *Bits) Next(from int) int {
 	if from < 0 {
@@ -120,22 +96,6 @@ func (b *Bits) Next(from int) int {
 		from = (from/64 + 1) * 64
 	}
 	return -1
-}
-
-// Indices returns the marked indices in ascending order.
-func (b *Bits) Indices() []int {
-	out := make([]int, 0, b.Count())
-	for i := b.Next(0); i >= 0; i = b.Next(i + 1) {
-		out = append(out, i)
-	}
-	return out
-}
-
-// Clone returns an independent copy.
-func (b *Bits) Clone() *Bits {
-	out := &Bits{n: b.n, words: make([]uint64, len(b.words))}
-	copy(out.words, b.words)
-	return out
 }
 
 // CoverageBits returns the positive-coverage bitmap of a clause over a

@@ -3,10 +3,21 @@ package coverage
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlearn/internal/logic"
 )
+
+// indices lists the marked indices of a bitmap in ascending order, walking
+// it with Next.
+func indices(b *Bits) []int {
+	var out []int
+	for i := b.Next(0); i >= 0; i = b.Next(i + 1) {
+		out = append(out, i)
+	}
+	return out
+}
 
 // TestBitsMatchesReference is the property test for the bitmap: a long
 // random op sequence applied to a Bits and to a map-based reference set must
@@ -15,8 +26,19 @@ import (
 func TestBitsMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 63, 64, 65, 130, 200} {
 		rng := rand.New(rand.NewSource(int64(n) + 42))
-		b := NewBits(n)
+		// randomMask marks each index with probability 1/k.
+		randomMask := func(k int) []bool {
+			mask := make([]bool, n)
+			for i := range mask {
+				mask[i] = rng.Intn(k) == 0
+			}
+			return mask
+		}
+		b := FullBits(n)
 		ref := make(map[int]bool)
+		for i := 0; i < n; i++ {
+			ref[i] = true
+		}
 		check := func(step int) {
 			if got, want := b.Count(), len(ref); got != want {
 				t.Fatalf("n=%d step %d: Count = %d, want %d", n, step, got, want)
@@ -24,80 +46,50 @@ func TestBitsMatchesReference(t *testing.T) {
 			if got, want := b.Any(), len(ref) > 0; got != want {
 				t.Fatalf("n=%d step %d: Any = %v, want %v", n, step, got, want)
 			}
-			for i := 0; i < n; i++ {
-				if b.Get(i) != ref[i] {
-					t.Fatalf("n=%d step %d: Get(%d) = %v, want %v", n, step, i, b.Get(i), ref[i])
+			// Next from every start must land on the first reference index
+			// at or after it.
+			next := -1
+			for from := n; from >= 0; from-- {
+				if ref[from] {
+					next = from
 				}
-			}
-			// Indices and Next must walk exactly the reference set in order.
-			want := make([]int, 0, len(ref))
-			for i := 0; i < n; i++ {
-				if ref[i] {
-					want = append(want, i)
+				if got := b.Next(from); got != next {
+					t.Fatalf("n=%d step %d: Next(%d) = %d, want %d", n, step, from, got, next)
 				}
-			}
-			got := b.Indices()
-			if len(got) != len(want) {
-				t.Fatalf("n=%d step %d: Indices = %v, want %v", n, step, got, want)
-			}
-			next := 0
-			for k, w := range want {
-				if got[k] != w {
-					t.Fatalf("n=%d step %d: Indices[%d] = %d, want %d", n, step, k, got[k], w)
-				}
-				if i := b.Next(next); i != w {
-					t.Fatalf("n=%d step %d: Next(%d) = %d, want %d", n, step, next, i, w)
-				}
-				next = w + 1
-			}
-			if i := b.Next(next); i != -1 {
-				t.Fatalf("n=%d step %d: Next past the last set bit = %d, want -1", n, step, i)
 			}
 		}
+		check(-1)
 		for step := 0; step < 300; step++ {
 			if n == 0 {
 				break
 			}
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
-				i := rng.Intn(n)
-				b.Set(i)
-				ref[i] = true
-			case 1:
 				i := rng.Intn(n)
 				b.Clear(i)
 				delete(ref, i)
-			case 2: // AndNot with a random bitmap
-				o := NewBits(n)
-				for i := 0; i < n; i++ {
-					if rng.Intn(3) == 0 {
-						o.Set(i)
+			case 1: // AndNot with a random bitmap
+				mask := randomMask(3)
+				for i, set := range mask {
+					if set {
 						delete(ref, i)
 					}
 				}
-				b.AndNot(o)
-			case 3: // And with a random bitmap
-				o := NewBits(n)
-				keep := make(map[int]bool)
-				for i := 0; i < n; i++ {
-					if rng.Intn(2) == 0 {
-						o.Set(i)
-						if ref[i] {
-							keep[i] = true
-						}
-					}
-				}
-				b.And(o)
-				ref = keep
-			case 4: // Or with a random bitmap
-				o := NewBits(n)
-				for i := 0; i < n; i++ {
-					if rng.Intn(4) == 0 {
-						o.Set(i)
+				b.AndNot(bitsFromMask(mask))
+			case 2: // rebuild from a random mask
+				mask := randomMask(2)
+				ref = make(map[int]bool)
+				for i, set := range mask {
+					if set {
 						ref[i] = true
 					}
 				}
-				b.Or(o)
+				b = bitsFromMask(mask)
+			case 3: // refill
+				b = FullBits(n)
+				for i := 0; i < n; i++ {
+					ref[i] = true
+				}
 			}
 			check(step)
 		}
@@ -111,32 +103,21 @@ func TestFullBits(t *testing.T) {
 		if b.Count() != n {
 			t.Errorf("FullBits(%d).Count = %d", n, b.Count())
 		}
-		if n > 0 && (!b.Get(0) || !b.Get(n-1)) {
-			t.Errorf("FullBits(%d) endpoints not set", n)
+		if got := indices(b); n > 0 && (got[0] != 0 || got[len(got)-1] != n-1) {
+			t.Errorf("FullBits(%d) endpoints not set: %v", n, got)
 		}
 		// No bit beyond n may leak into Count after an AndNot with itself.
-		c := b.Clone()
+		c := FullBits(n)
 		c.AndNot(b)
 		if c.Any() {
-			t.Errorf("FullBits(%d) AndNot itself leaves bits: %v", n, c.Indices())
+			t.Errorf("FullBits(%d) AndNot itself leaves bits: %v", n, indices(c))
 		}
 	}
 }
 
-// TestCloneIsIndependent guards against aliased words.
-func TestCloneIsIndependent(t *testing.T) {
-	b := NewBits(10)
-	b.Set(3)
-	c := b.Clone()
-	c.Set(7)
-	if b.Get(7) || !c.Get(3) {
-		t.Error("Clone shares storage with the original")
-	}
-}
-
-// TestCoverageBitsMatchesCoveredExamples checks the bitmap against the
-// index-slice API it replaces in the learner: same clause, same examples,
-// same coverage.
+// TestCoverageBitsMatchesCoveredExamples checks the parallel bitmap against
+// one-shot coverage tests of each example: same clause, same examples, same
+// coverage.
 func TestCoverageBitsMatchesCoveredExamples(t *testing.T) {
 	_, posG, _ := benchExamples(t, 40, 6, 1)
 	ctx := context.Background()
@@ -144,18 +125,17 @@ func TestCoverageBitsMatchesCoveredExamples(t *testing.T) {
 	posEx := mustExamples(t, e, posG)
 	for ci, c := range append(benchCandidates(), westernCandidate()) {
 		bits := e.CoverageBits(ctx, c, posEx)
-		want := e.CoveredPositiveExamples(ctx, c, posEx)
-		got := bits.Indices()
-		if len(got) != len(want) {
-			t.Fatalf("candidate %d: CoverageBits = %v, CoveredPositiveExamples = %v", ci, got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("candidate %d: CoverageBits = %v, CoveredPositiveExamples = %v", ci, got, want)
+		var want []int
+		for i, ex := range posEx {
+			if e.CoversPositiveExample(ctx, c, ex) {
+				want = append(want, i)
 			}
 		}
-		if bits.Count() != e.CountPositiveExamples(ctx, c, posEx) {
-			t.Fatalf("candidate %d: bitmap count disagrees with CountPositiveExamples", ci)
+		if got := indices(bits); !slices.Equal(got, want) {
+			t.Fatalf("candidate %d: CoverageBits = %v, one-shot tests cover %v", ci, got, want)
+		}
+		if bits.Count() != len(want) {
+			t.Fatalf("candidate %d: bitmap count %d, %d covered", ci, bits.Count(), len(want))
 		}
 	}
 }
@@ -182,6 +162,7 @@ func TestUncoveredBitmapMatchesRecount(t *testing.T) {
 
 		// From-scratch recount: example i is uncovered iff no accepted
 		// clause covers it.
+		var recount []int
 		for i, ex := range posEx {
 			coveredByAny := false
 			for _, a := range accepted {
@@ -190,10 +171,13 @@ func TestUncoveredBitmapMatchesRecount(t *testing.T) {
 					break
 				}
 			}
-			if uncovered.Get(i) == coveredByAny {
-				t.Fatalf("after %d accepted clauses: bitmap says uncovered(%d)=%v, recount says covered=%v",
-					len(accepted), i, uncovered.Get(i), coveredByAny)
+			if !coveredByAny {
+				recount = append(recount, i)
 			}
+		}
+		if got := indices(uncovered); !slices.Equal(got, recount) {
+			t.Fatalf("after %d accepted clauses: bitmap says uncovered %v, recount says %v",
+				len(accepted), got, recount)
 		}
 	}
 	if !uncovered.Any() && len(posEx) > 0 {

@@ -47,7 +47,7 @@ func TestWorkerPoolHonorsCancellation(t *testing.T) {
 	}
 	exs := mustExamples(t, e, grounds)
 
-	if got := e.CountPositiveExamples(context.Background(), simpleClause(), exs); got != len(exs) {
+	if got := e.CoverageBits(context.Background(), simpleClause(), exs).Count(); got != len(exs) {
 		t.Fatalf("uncancelled count = %d, want %d", got, len(exs))
 	}
 
@@ -55,14 +55,11 @@ func TestWorkerPoolHonorsCancellation(t *testing.T) {
 	cancel()
 	// A cancelled batch must drain without scoring: every worker skips its
 	// items, so nothing is counted.
-	if got := e.CountPositiveExamples(ctx, simpleClause(), exs); got != 0 {
-		t.Errorf("cancelled count = %d, want 0", got)
+	if got := indices(e.CoverageBits(ctx, simpleClause(), exs)); len(got) != 0 {
+		t.Errorf("cancelled covered-set = %v, want empty", got)
 	}
 	if got := e.CountNegativeExamples(ctx, simpleClause(), exs); got != 0 {
 		t.Errorf("cancelled negative count = %d, want 0", got)
-	}
-	if got := e.CoveredPositiveExamples(ctx, simpleClause(), exs); len(got) != 0 {
-		t.Errorf("cancelled covered-set = %v, want empty", got)
 	}
 }
 

@@ -37,15 +37,6 @@ type Options struct {
 	CacheShards int
 }
 
-// DefaultHeatDecayInterval is the period, in scored batches, of the adaptive
-// ordering's heat decay: every DefaultHeatDecayInterval batches ScoreBatch
-// halves the heat counters of the examples it just scored, so the
-// hottest-first schedule tracks the recent candidates of a long-lived
-// process instead of its whole history. Long enough that the ordering has
-// stable signal within one hill-climb, short enough that a server process
-// scoring many runs forgets examples that stopped closing bounds.
-const DefaultHeatDecayInterval = 64
-
 // Evaluator answers coverage questions. It is safe for concurrent use.
 // The candidate side of every test — compiled clauses, their repair-literal
 // expansions and CFD-stripped projections — is memoized in lock-striped
@@ -58,13 +49,6 @@ type Evaluator struct {
 	repOpts repair.Options
 	threads int
 	candPar int
-	// heatDecay is the heat-decay period in batches, DefaultHeatDecayInterval
-	// unless a test pins it; non-positive disables decay.
-	heatDecay int
-
-	// batches counts completed ScoreBatch calls; every heatDecay-th batch
-	// halves the heat of the examples it scored (see adaptiveOrder).
-	batches atomic.Int64
 
 	// Plan telemetry: probes issued, probes the planner ordered, search
 	// nodes explored and probes that exhausted their node budget,
@@ -97,16 +81,12 @@ func NewEvaluator(opts Options) *Evaluator {
 		repOpts:    opts.Repair,
 		threads:    threads,
 		candPar:    candPar,
-		heatDecay:  DefaultHeatDecayInterval,
 		repCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		cfdCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
 		stripCache: newShardedCache[logic.Clause](opts.CacheShards),
 		candCache:  newShardedCache[*subsumption.CompiledCandidate](opts.CacheShards),
 	}
 }
-
-// Threads returns the worker-pool size used for batch scoring.
-func (e *Evaluator) Threads() int { return e.threads }
 
 // candidateCached returns the compiled (subsuming-side) form of a clause,
 // compiling it on first use. Compiled candidates are immutable and shared by

@@ -3,7 +3,6 @@ package coverage
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"dlearn/internal/logic"
 	"dlearn/internal/repair"
@@ -15,7 +14,9 @@ import (
 // CFD-only repair expansion (Section 4.3), its full repaired-clause
 // expansion (used for negative coverage, Definition 3.6), and the MD-only
 // projection G_md^e. Preparing an example once and probing it with thousands
-// of candidate clauses is what makes the covering search practical.
+// of candidate clauses is what makes the covering search practical. A
+// prepared Example is read-only apart from its once-resolved CFD side, so
+// any number of workers and concurrent batches may probe it at once.
 type Example struct {
 	// Ground is the ground bottom clause of the example.
 	Ground logic.Clause
@@ -32,17 +33,7 @@ type Example struct {
 	stripped   *subsumption.Prepared
 	cfdExp     []*subsumption.Prepared
 	repaired   []*subsumption.Prepared
-
-	// heat counts the bound-closing events this example produced across the
-	// batches that scored it: misses when used as a positive, covers when
-	// used as a negative. ScoreBatch schedules the hottest examples first so
-	// the early-exit bound closes as soon as possible (see adaptiveOrder).
-	// Maintained atomically by the evaluator's workers.
-	heat atomic.Int64
 }
-
-// Heat returns the example's accumulated bound-closing event count.
-func (ex *Example) Heat() int64 { return ex.heat.Load() }
 
 // cfdSide returns the example's MD-only projection and CFD expansion,
 // preparing them first if the example defers them.
@@ -127,46 +118,17 @@ func (e *Evaluator) CoversPositiveExample(ctx context.Context, c logic.Clause, e
 	return e.newProbe(c, false).coversPositive(ctx, ex)
 }
 
-// CoversNegativeExample reports whether clause c covers the prepared
-// negative example, following Definition 3.6 (see probe.coversNegative).
-func (e *Evaluator) CoversNegativeExample(ctx context.Context, c logic.Clause, ex *Example) bool {
-	return e.newProbe(c, false).coversNegative(ctx, ex)
-}
-
-// CountPositiveExamples counts the prepared examples covered as positives,
-// in parallel.
-func (e *Evaluator) CountPositiveExamples(ctx context.Context, c logic.Clause, exs []*Example) int {
-	p := e.newProbe(c, true)
-	return e.countParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversPositive(ctx, ex) })
-}
-
 // CountNegativeExamples counts the prepared examples covered as negatives,
 // in parallel.
 func (e *Evaluator) CountNegativeExamples(ctx context.Context, c logic.Clause, exs []*Example) int {
 	p := e.newProbe(c, true)
-	return e.countParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversNegative(ctx, ex) })
-}
-
-// ScoreClauseExamples computes a clause's score over prepared examples.
-func (e *Evaluator) ScoreClauseExamples(ctx context.Context, c logic.Clause, pos, neg []*Example) Score {
-	return Score{
-		PositivesCovered: e.CountPositiveExamples(ctx, c, pos),
-		NegativesCovered: e.CountNegativeExamples(ctx, c, neg),
-	}
-}
-
-// CoveredPositiveExamples returns the indices of the prepared positive
-// examples covered by the clause.
-func (e *Evaluator) CoveredPositiveExamples(ctx context.Context, c logic.Clause, exs []*Example) []int {
-	p := e.newProbe(c, true)
-	mask := e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversPositive(ctx, ex) })
-	var out []int
-	for i, b := range mask {
-		if b {
-			out = append(out, i)
+	n := 0
+	for _, covered := range e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversNegative(ctx, ex) }) {
+		if covered {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // DefinitionCoversContext reports whether any clause of the definition
@@ -189,17 +151,6 @@ func (e *Evaluator) DefinitionCoversExample(ctx context.Context, d *logic.Defini
 		}
 	}
 	return false
-}
-
-func (e *Evaluator) countParallelExamples(ctx context.Context, exs []*Example, pred func(*Example) bool) int {
-	mask := e.maskParallelExamples(ctx, exs, pred)
-	n := 0
-	for _, b := range mask {
-		if b {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *Evaluator) maskParallelExamples(ctx context.Context, exs []*Example, pred func(*Example) bool) []bool {

@@ -33,13 +33,12 @@ func planTestExamples(t *testing.T, e *Evaluator) []*Example {
 // advances the evaluator's counters, and no more probes are planned than
 // issued.
 func TestPlanCountersAccumulate(t *testing.T) {
-	ctx := context.Background()
 	on := NewEvaluator(Options{Threads: 2})
 	exs := planTestExamples(t, on)
 	if snap := on.PlanSnapshot(); snap.Probes != 0 || snap.Planned != 0 || snap.Nodes != 0 {
 		t.Fatalf("fresh evaluator has nonzero plan counters: %+v", snap)
 	}
-	on.ScoreClauseExamples(ctx, comedyClause(), exs, exs)
+	fullScore(on, comedyClause(), exs, exs)
 	snap := on.PlanSnapshot()
 	if snap.Probes == 0 || snap.Planned == 0 || snap.Nodes == 0 {
 		t.Fatalf("scoring left counters empty: %+v", snap)

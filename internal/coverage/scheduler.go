@@ -22,7 +22,10 @@ type CandidateResult struct {
 	// Score is the candidate's coverage score; a partial tally when Exact is
 	// false.
 	Score Score
-	// Exact reports whether the batch ran to completion (see ScoreBatch).
+	// Exact reports whether every example was evaluated, so that Score is
+	// the candidate's full score. False means the batch stopped early (its
+	// bound fell to the floor, or the context was cancelled) and Score is a
+	// partial tally whose fields depend on scheduling.
 	Exact bool
 }
 
@@ -32,10 +35,12 @@ const incomplete = math.MinInt64
 
 // ScoreCandidates scores the independent candidate clauses of one refinement
 // sample concurrently — the outer tier of the two-tier scheduler. Each
-// candidate's batch still runs on the evaluator's inner worker pool
-// (ScoreBatch), and candidates share the incumbent floor through an atomic
-// value table: a candidate early-exits against the best exact score already
-// known for a LOWER-indexed candidate.
+// candidate's batch runs on the evaluator's inner worker pool
+// (scoreCandidate), taking its examples in index order, positives then
+// negatives, and stopping as soon as the candidate provably cannot beat its
+// floor. Candidates share the incumbent floor through an atomic value table:
+// a candidate early-exits against the best exact score already known for a
+// LOWER-indexed candidate.
 //
 // Restricting the shared floor to lower indices is what makes the result
 // independent of scheduling: the serial hill-climb keeps candidate i only if
@@ -81,7 +86,7 @@ func (e *Evaluator) ScoreCandidates(ctx context.Context, cands []logic.Clause, p
 		// against a low floor exits as soon as a lower-indexed candidate
 		// completes with a value its bound cannot beat, instead of finishing
 		// against the stale floor it was scheduled with.
-		s, exact := e.scoreBatchDynamic(ctx, cands[i], pos, neg, func() int { return prefixFloor(i) })
+		s, exact := e.scoreCandidate(ctx, cands[i], pos, neg, func() int { return prefixFloor(i) })
 		results[i] = CandidateResult{Score: s, Exact: exact}
 		if exact {
 			vals[i].Store(int64(s.Value()))
@@ -113,6 +118,67 @@ func (e *Evaluator) ScoreCandidates(ctx context.Context, cands []logic.Clause, p
 	}
 	wg.Wait()
 	return results
+}
+
+// scoreCandidate scores one candidate clause over prepared positive and
+// negative examples on the evaluator's worker pool, against a floor that may
+// rise while the batch runs. The bound
+//
+//	PositivesCovered + positives-still-pending - NegativesCovered
+//
+// only shrinks as positives miss and negatives hit; as soon as it drops to
+// the floor the candidate provably cannot beat the incumbent and the rest of
+// the batch is skipped. floorFn is re-read at every bound check, so a batch
+// whose candidate is overtaken mid-flight (a lower-indexed candidate
+// completes) exits early instead of finishing against the stale floor it
+// started with; floorFn must be monotone non-decreasing. The candidate is
+// compiled once before the workers start and shared (read-only) by all of
+// them. The boolean result is CandidateResult.Exact.
+func (e *Evaluator) scoreCandidate(ctx context.Context, c logic.Clause, pos, neg []*Example, floorFn func() int) (Score, bool) {
+	nPos, nNeg := len(pos), len(neg)
+	if nPos <= floorFn() {
+		// Even covering every positive and no negative cannot exceed the
+		// floor; skip the whole batch.
+		return Score{}, false
+	}
+	p := e.newProbe(c, true)
+
+	var posCov, posMiss, negCov, done atomic.Int64
+	var stopped atomic.Bool
+	checkBound := func() {
+		if int64(nPos)-posMiss.Load()-negCov.Load() <= int64(floorFn()) {
+			stopped.Store(true)
+		}
+	}
+	n := nPos + nNeg
+	e.forEachParallel(ctx, n, func(i int) {
+		// Items drained after the bound closes are O(1) no-ops. The bound is
+		// also re-checked before each item so a floor that rose since the
+		// last bound-closing event (another candidate finished) stops the
+		// batch without waiting for one of this batch's own misses.
+		if stopped.Load() {
+			return
+		}
+		checkBound()
+		if stopped.Load() {
+			return
+		}
+		if i < nPos {
+			if p.coversPositive(ctx, pos[i]) {
+				posCov.Add(1)
+			} else {
+				posMiss.Add(1)
+				checkBound()
+			}
+		} else if p.coversNegative(ctx, neg[i-nPos]) {
+			negCov.Add(1)
+			checkBound()
+		}
+		done.Add(1)
+	})
+
+	score := Score{PositivesCovered: int(posCov.Load()), NegativesCovered: int(negCov.Load())}
+	return score, done.Load() == int64(n) && ctx.Err() == nil
 }
 
 // CandidateWorkers returns the outer-tier worker count ScoreCandidates

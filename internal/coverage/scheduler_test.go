@@ -23,6 +23,21 @@ func schedulerWorkload(t testing.TB) ([]logic.Clause, []*Example, []*Example, *E
 	return cands, posEx, negEx, e
 }
 
+// serialWinner is the serial reference of the scheduler: the hill-climb
+// loop that scores candidates one at a time, each in a one-candidate
+// ScoreCandidates call, raising the floor on every strict improvement.
+func serialWinner(e *Evaluator, cands []logic.Clause, pos, neg []*Example, floor int) (idx int, best Score, ok bool) {
+	idx = -1
+	for i := range cands {
+		r := e.ScoreCandidates(context.Background(), cands[i:i+1], pos, neg, floor, 1)[0]
+		if r.Exact && r.Score.Value() > floor {
+			idx, best, ok = i, r.Score, true
+			floor = r.Score.Value()
+		}
+	}
+	return idx, best, ok
+}
+
 // TestScoreCandidatesDeterministicAcrossParallelism is the scheduler's core
 // contract: BestCandidate over a ScoreCandidates result must select the same
 // candidate (index AND score) for every parallelism level, matching the
@@ -33,16 +48,7 @@ func TestScoreCandidatesDeterministicAcrossParallelism(t *testing.T) {
 	ctx := context.Background()
 
 	for _, floor := range []int{-1 << 30, 0, 2} {
-		// Serial reference: the pre-scheduler hill-climb loop.
-		refIdx, refScore, refOK := -1, Score{}, false
-		refFloor := floor
-		for i, c := range cands {
-			s, exact := e.ScoreBatch(ctx, c, posEx, negEx, refFloor)
-			if exact && s.Value() > refFloor {
-				refIdx, refScore, refOK = i, s, true
-				refFloor = s.Value()
-			}
-		}
+		refIdx, refScore, refOK := serialWinner(e, cands, posEx, negEx, floor)
 
 		for _, par := range []int{1, 2, 3, 8} {
 			for rep := 0; rep < 3; rep++ {
@@ -55,7 +61,7 @@ func TestScoreCandidatesDeterministicAcrossParallelism(t *testing.T) {
 				// Every exact result must carry the true score.
 				for i, r := range results {
 					if r.Exact {
-						if full := e.ScoreClauseExamples(ctx, cands[i], posEx, negEx); r.Score != full {
+						if full := fullScore(e, cands[i], posEx, negEx); r.Score != full {
 							t.Fatalf("candidate %d: exact scheduler score %+v, full score %+v", i, r.Score, full)
 						}
 					}
@@ -67,24 +73,15 @@ func TestScoreCandidatesDeterministicAcrossParallelism(t *testing.T) {
 
 // TestScoreCandidatesSharedFloorStress is the -race stress test for
 // concurrent candidate scoring with a shared floor: many goroutines run the
-// scheduler simultaneously on one evaluator (colliding in the value table
-// of their own run and in the evaluator's caches and heat counters across
-// runs) while others mutate the heat ordering via plain batches. Every
+// scheduler simultaneously on one evaluator, colliding in the value table
+// of their own run and in the evaluator's caches across runs. Every
 // scheduler run must still select the serial winner.
 func TestScoreCandidatesSharedFloorStress(t *testing.T) {
 	cands, posEx, negEx, e := schedulerWorkload(t)
 	ctx := context.Background()
 
-	refIdx, refScore, refOK := -1, Score{}, false
 	floor := -1 << 30
-	refFloor := floor
-	for i, c := range cands {
-		s, exact := e.ScoreBatch(ctx, c, posEx, negEx, refFloor)
-		if exact && s.Value() > refFloor {
-			refIdx, refScore, refOK = i, s, true
-			refFloor = s.Value()
-		}
-	}
+	refIdx, refScore, refOK := serialWinner(e, cands, posEx, negEx, floor)
 	if !refOK {
 		t.Fatal("workload has no winning candidate; the stress would be vacuous")
 	}
@@ -97,82 +94,17 @@ func TestScoreCandidatesSharedFloorStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				switch w % 3 {
-				case 2:
-					// Heat churn: reorder adaptive scheduling under the
-					// other workers' feet.
-					e.ScoreBatch(ctx, cands[(w+it)%len(cands)], posEx, negEx, refScore.Value())
-				default:
-					par := 1 + (w+it)%4
-					results := e.ScoreCandidates(ctx, cands, posEx, negEx, floor, par)
-					idx, score, ok := BestCandidate(results, floor)
-					if !ok || idx != refIdx || score != refScore {
-						t.Errorf("worker %d iter %d (par %d): BestCandidate = (%d, %+v, %v), want (%d, %+v, true)",
-							w, it, par, idx, score, ok, refIdx, refScore)
-					}
+				par := 1 + (w+it)%4
+				results := e.ScoreCandidates(ctx, cands, posEx, negEx, floor, par)
+				idx, score, ok := BestCandidate(results, floor)
+				if !ok || idx != refIdx || score != refScore {
+					t.Errorf("worker %d iter %d (par %d): BestCandidate = (%d, %+v, %v), want (%d, %+v, true)",
+						w, it, par, idx, score, ok, refIdx, refScore)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestAdaptiveOrderPrefersHotExamples checks the ScoreBatch scheduling
-// heuristic directly: after batches in which some examples closed the bound,
-// those examples move to the front of the processing order.
-func TestAdaptiveOrderPrefersHotExamples(t *testing.T) {
-	_, posG, negG := benchExamples(t, 40, 4, 4)
-	e := NewEvaluator(Options{Threads: 1})
-	posEx := mustExamples(t, e, posG)
-	negEx := mustExamples(t, e, negG)
-
-	// Cold: the order must be the identity (positives then negatives).
-	order := adaptiveOrder(posEx, negEx)
-	for k, i := range order {
-		if k != i {
-			t.Fatalf("cold order[%d] = %d, want identity", k, i)
-		}
-	}
-
-	// Heat up negative 2 and positive 3: each must lead its own tier, with
-	// positives still ahead of every negative (positive misses are the
-	// dominant bound-closers) and stable index order elsewhere.
-	negEx[2].heat.Add(5)
-	posEx[3].heat.Add(3)
-	order = adaptiveOrder(posEx, negEx)
-	want := []int{3, 0, 1, 2, len(posEx) + 2, len(posEx), len(posEx) + 1, len(posEx) + 3}
-	for k := range want {
-		if order[k] != want[k] {
-			t.Fatalf("adaptive order = %v, want %v", order, want)
-		}
-	}
-}
-
-// TestScoreBatchHeatAccumulates checks the evaluator maintains the per-
-// example hit counters: a candidate that misses positives and covers
-// negatives heats exactly those examples.
-func TestScoreBatchHeatAccumulates(t *testing.T) {
-	_, posG, negG := benchExamples(t, 40, 4, 4)
-	e := NewEvaluator(Options{Threads: 1})
-	posEx := mustExamples(t, e, posG)
-	negEx := mustExamples(t, e, negG)
-	ctx := context.Background()
-
-	// The western candidate covers nothing: every positive misses (all heat
-	// up) and no negative covers (no heat).
-	if _, exact := e.ScoreBatch(ctx, westernCandidate(), posEx, negEx, -1<<30); !exact {
-		t.Fatal("unfloored batch must be exact")
-	}
-	for i, ex := range posEx {
-		if ex.Heat() != 1 {
-			t.Errorf("positive %d heat = %d, want 1 (missed once)", i, ex.Heat())
-		}
-	}
-	for i, ex := range negEx {
-		if ex.Heat() != 0 {
-			t.Errorf("negative %d heat = %d, want 0 (never covered)", i, ex.Heat())
-		}
-	}
 }
 
 // BenchmarkScoreCandidates is the small-example-pool benchmark: the pool is

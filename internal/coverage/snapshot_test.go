@@ -70,8 +70,8 @@ func TestLoadOrPrepareMissThenHit(t *testing.T) {
 	}
 
 	c := simpleClause()
-	s1 := e1.ScoreClauseExamples(ctx, c, pos1, neg1)
-	s2 := e2.ScoreClauseExamples(ctx, c, pos2, neg2)
+	s1 := fullScore(e1, c, pos1, neg1)
+	s2 := fullScore(e2, c, pos2, neg2)
 	if s1 != s2 {
 		t.Fatalf("restored examples score %+v, fresh score %+v", s2, s1)
 	}

@@ -26,6 +26,16 @@ func westernCandidate() logic.Clause {
 	)
 }
 
+// fullScore is the reference score of a clause: its positive coverage
+// bitmap's count and its negative count, the learner's acceptance path.
+func fullScore(e *Evaluator, c logic.Clause, pos, neg []*Example) Score {
+	ctx := context.Background()
+	return Score{
+		PositivesCovered: e.CoverageBits(ctx, c, pos).Count(),
+		NegativesCovered: e.CountNegativeExamples(ctx, c, neg),
+	}
+}
+
 // TestEvaluatorConcurrentStress hammers one shared Evaluator from many
 // goroutines with a mix of batch scoring (with and without early-exit
 // floors), example preparation and cancelled batches. Run under -race it
@@ -44,7 +54,7 @@ func TestEvaluatorConcurrentStress(t *testing.T) {
 	refNeg := mustExamples(t, ref, negG)
 	want := make([]Score, len(cands))
 	for i, c := range cands {
-		want[i] = ref.ScoreClauseExamples(ctx, c, refPos, refNeg)
+		want[i] = fullScore(ref, c, refPos, refNeg)
 	}
 
 	// Few stripes on purpose: more goroutines collide on each lock.
@@ -65,32 +75,32 @@ func TestEvaluatorConcurrentStress(t *testing.T) {
 					switch (w + it + ci) % 4 {
 					case 0:
 						// Unfloored batch: always exact and deterministic.
-						s, exact := e.ScoreBatch(ctx, c, posEx, negEx, noFloor)
-						if !exact {
-							t.Errorf("unfloored ScoreBatch reported non-exact for candidate %d", ci)
-						} else if s != want[ci] {
-							t.Errorf("candidate %d: concurrent score %+v, serial %+v", ci, s, want[ci])
+						r := e.ScoreCandidates(ctx, cands[ci:ci+1], posEx, negEx, noFloor, 1)[0]
+						if !r.Exact {
+							t.Errorf("unfloored batch reported non-exact for candidate %d", ci)
+						} else if r.Score != want[ci] {
+							t.Errorf("candidate %d: concurrent score %+v, serial %+v", ci, r.Score, want[ci])
 						}
 					case 1:
 						// Floor at the candidate's own value: the batch may
 						// early-exit, but an exact result must still match.
-						s, exact := e.ScoreBatch(ctx, c, posEx, negEx, want[ci].Value())
-						if exact && s != want[ci] {
-							t.Errorf("candidate %d: floored exact score %+v, serial %+v", ci, s, want[ci])
+						r := e.ScoreCandidates(ctx, cands[ci:ci+1], posEx, negEx, want[ci].Value(), 1)[0]
+						if r.Exact && r.Score != want[ci] {
+							t.Errorf("candidate %d: floored exact score %+v, serial %+v", ci, r.Score, want[ci])
 						}
 					case 2:
 						// Concurrent example preparation against the shared
 						// caches, probed immediately.
 						ex := e.NewExample(ctx, posG[(w+it)%len(posG)])
 						e.CoversPositiveExample(ctx, c, ex)
-						e.CoversNegativeExample(ctx, c, ex)
+						e.CountNegativeExamples(ctx, c, []*Example{ex})
 					default:
 						// Cancelled batches must stay conservative (non-exact)
 						// and must not poison the caches for other workers.
 						cctx, cancel := context.WithCancel(ctx)
 						cancel()
-						if _, exact := e.ScoreBatch(cctx, c, posEx, negEx, noFloor); exact {
-							t.Errorf("cancelled ScoreBatch reported an exact score")
+						if r := e.ScoreCandidates(cctx, cands[ci:ci+1], posEx, negEx, noFloor, 1)[0]; r.Exact {
+							t.Errorf("cancelled batch reported an exact score")
 						}
 					}
 				}
@@ -101,15 +111,16 @@ func TestEvaluatorConcurrentStress(t *testing.T) {
 
 	// After the stress, the shared evaluator must still score exactly.
 	for ci, c := range cands {
-		if got := e.ScoreClauseExamples(ctx, c, posEx, negEx); got != want[ci] {
+		if got := fullScore(e, c, posEx, negEx); got != want[ci] {
 			t.Errorf("candidate %d after stress: score %+v, want %+v", ci, got, want[ci])
 		}
 	}
 }
 
-// TestScoreBatchEarlyExit checks the early-exit contract on a serial
-// evaluator: a floor the candidate cannot exceed yields a non-exact result,
-// and a batch that runs to completion matches ScoreClauseExamples.
+// TestScoreBatchEarlyExit checks the early-exit contract of a one-candidate
+// ScoreCandidates call on a serial evaluator: a floor the candidate cannot
+// exceed yields a non-exact result, and a batch that runs to completion
+// matches the full score.
 func TestScoreBatchEarlyExit(t *testing.T) {
 	_, posG, negG := benchExamples(t, 40, 6, 6)
 	cands := append(benchCandidates(), westernCandidate())
@@ -120,24 +131,25 @@ func TestScoreBatchEarlyExit(t *testing.T) {
 
 	earlyExits := 0
 	for ci, c := range cands {
-		full := e.ScoreClauseExamples(ctx, c, posEx, negEx)
-		if s, exact := e.ScoreBatch(ctx, c, posEx, negEx, -1<<30); !exact || s != full {
-			t.Errorf("candidate %d: unfloored batch %+v (exact=%v), want %+v", ci, s, exact, full)
+		full := fullScore(e, c, posEx, negEx)
+		one := cands[ci : ci+1]
+		if r := e.ScoreCandidates(ctx, one, posEx, negEx, -1<<30, 1)[0]; !r.Exact || r.Score != full {
+			t.Errorf("candidate %d: unfloored batch %+v (exact=%v), want %+v", ci, r.Score, r.Exact, full)
 		}
 		// A floor of len(pos) can never be exceeded: the batch must refuse
 		// without scoring anything.
-		if s, exact := e.ScoreBatch(ctx, c, posEx, negEx, len(posEx)); exact || s != (Score{}) {
-			t.Errorf("candidate %d: impossible floor scored %+v (exact=%v)", ci, s, exact)
+		if r := e.ScoreCandidates(ctx, one, posEx, negEx, len(posEx), 1)[0]; r.Exact || r.Score != (Score{}) {
+			t.Errorf("candidate %d: impossible floor scored %+v (exact=%v)", ci, r.Score, r.Exact)
 		}
 		if full.Value() < len(posEx) {
 			// Flooring at the candidate's own value closes the bound; unless
 			// the closing test happens to be the batch's final item this is
 			// an early exit. An exact result must still match the full score.
-			s, exact := e.ScoreBatch(ctx, c, posEx, negEx, full.Value())
-			if exact && s != full {
-				t.Errorf("candidate %d: floored exact score %+v, want %+v", ci, s, full)
+			r := e.ScoreCandidates(ctx, one, posEx, negEx, full.Value(), 1)[0]
+			if r.Exact && r.Score != full {
+				t.Errorf("candidate %d: floored exact score %+v, want %+v", ci, r.Score, full)
 			}
-			if !exact {
+			if !r.Exact {
 				earlyExits++
 			}
 		}

@@ -156,7 +156,7 @@ func TestDecodedExamplesBehaveIdentically(t *testing.T) {
 				}
 			}
 			for k := range neg {
-				if got, want := restored.CoversNegativeExample(ctx, c, rNeg[k]), e.CoversNegativeExample(ctx, c, neg[k]); got != want {
+				if got, want := restored.CountNegativeExamples(ctx, c, rNeg[k:k+1]), e.CountNegativeExamples(ctx, c, neg[k:k+1]); got != want {
 					t.Fatalf("case %d cand %d neg %d: restored=%v fresh=%v\nc=%s\ng=%s", i, j, k, got, want, c, neg[k].Ground)
 				}
 			}

@@ -105,10 +105,6 @@ func (in *Instance) Schema() *Schema { return in.schema }
 // concurrently with instance writes.
 func (in *Instance) Interner() *Interner { return in.intern }
 
-// DistinctValueCount returns the number of distinct values interned by the
-// instance across all relations and attributes.
-func (in *Instance) DistinctValueCount() int { return in.intern.Len() }
-
 // validateInsert checks that the relation exists and the value count matches
 // its arity.
 func (in *Instance) validateInsert(rel string, values []string) (*Relation, error) {
