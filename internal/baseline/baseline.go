@@ -39,11 +39,6 @@ const (
 	DLearnRepaired System = "DLearn-Repaired"
 )
 
-// AllTable4Systems are the systems compared in Table 4.
-func AllTable4Systems() []System {
-	return []System{CastorNoMD, CastorExact, CastorClean, DLearn}
-}
-
 // Result is the outcome of running one system on one problem.
 type Result struct {
 	System     System

@@ -112,10 +112,3 @@ func TestRunUnknownSystem(t *testing.T) {
 		t.Fatal("unknown system must be rejected")
 	}
 }
-
-func TestAllTable4Systems(t *testing.T) {
-	systems := AllTable4Systems()
-	if len(systems) != 4 || systems[3] != DLearn {
-		t.Fatalf("unexpected Table 4 system list: %v", systems)
-	}
-}

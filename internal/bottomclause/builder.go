@@ -112,9 +112,6 @@ func NewBuilder(inst *relation.Instance, target *relation.Relation, mds []constr
 	}
 }
 
-// Config returns the builder configuration.
-func (b *Builder) Config() Config { return b.cfg }
-
 // simMatch records one approximate match found through an MD: probe value c
 // (from the MD's left side) matched value v in the right relation.
 type simMatch struct {

@@ -247,7 +247,7 @@ func TestBottomClauseCFDRepairLiterals(t *testing.T) {
 	// Expanding the bottom clause must produce only CFD-repaired variants:
 	// no repaired clause may keep two mov2locale literals that agree on the
 	// (unsplit) title variable but disagree on country.
-	for _, rc := range repair.RepairedClauses(c, repair.Options{}) {
+	for _, rc := range repair.RepairedClausesContext(context.Background(), c, repair.Options{}) {
 		if rc.HasRepairLiterals() {
 			t.Fatalf("unrepaired clause returned: %v", rc)
 		}

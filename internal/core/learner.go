@@ -104,7 +104,7 @@ type Config struct {
 	// shared floor only prunes candidates that provably lose).
 	CandidateParallelism int
 	// EvalCacheShards is the number of lock stripes in the coverage
-	// evaluator's memo tables. Zero means coverage.DefaultCacheShards.
+	// evaluator's probe memo. Zero means coverage.DefaultCacheShards.
 	EvalCacheShards int
 	// Seed drives every random choice (seed selection, candidate sampling,
 	// and — unless BottomClause.Seed is set explicitly — bottom-clause

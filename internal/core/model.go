@@ -14,7 +14,7 @@ import (
 // coverage evaluator. A test example is predicted positive when some clause
 // of the definition covers it under Definition 3.4. A Model is safe for
 // concurrent use: Predict and PredictAll may run from several goroutines on
-// one Model, sharing its similarity indexes and evaluator caches.
+// one Model, sharing its similarity indexes and evaluator probe memo.
 type Model struct {
 	Definition *logic.Definition
 	builder    *bottomclause.Builder

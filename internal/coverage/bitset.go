@@ -106,7 +106,7 @@ func (b *Bits) Next(from int) int {
 // re-scoring the clause in later iterations. A cancelled context returns a
 // partial bitmap; callers check ctx.Err() before trusting it.
 func (e *Evaluator) CoverageBits(ctx context.Context, c logic.Clause, exs []*Example) *Bits {
-	p := e.newProbe(c, true)
+	p := e.probeFor(c)
 	mask := e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversPositive(ctx, ex) })
 	return bitsFromMask(mask)
 }

@@ -2,16 +2,17 @@ package coverage
 
 import "sync"
 
-// DefaultCacheShards is the default number of lock stripes per memo table.
-// Sixteen matches the paper's 16-way parallel coverage testing: with one
-// stripe per worker on average, cache lookups almost never contend.
+// DefaultCacheShards is the default number of lock stripes of the
+// evaluator's probe memo. Sixteen matches the paper's 16-way parallel
+// coverage testing: with one stripe per worker on average, memo lookups
+// almost never contend.
 const DefaultCacheShards = 16
 
 // shardedCache is a lock-striped memo table keyed by clause canonical keys.
 // The single-mutex caches it replaces serialized all 16 coverage workers
 // behind one lock; striping makes lookups of distinct clauses proceed in
-// parallel. Values must be safe to share once stored (the evaluator caches
-// immutable clauses and compiled candidates).
+// parallel. Values must be safe to share once stored (the evaluator stores
+// probes, whose lazily resolved parts are guarded by the probe's mutex).
 type shardedCache[V any] struct {
 	shards []cacheShard[V]
 	mask   uint32
@@ -54,23 +55,6 @@ func (c *shardedCache[V]) shardFor(key string) *cacheShard[V] {
 		h *= prime32
 	}
 	return &c.shards[h&c.mask]
-}
-
-// get returns the cached value for key.
-func (c *shardedCache[V]) get(key string) (V, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	v, ok := s.m[key]
-	s.mu.Unlock()
-	return v, ok
-}
-
-// set stores the value for key.
-func (c *shardedCache[V]) set(key string, v V) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
 }
 
 // getOrCompute returns the cached value for key, computing and storing it on

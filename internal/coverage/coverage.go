@@ -9,7 +9,6 @@
 package coverage
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 
@@ -32,18 +31,18 @@ type Options struct {
 	// flight at once (each running its batch on the inner Threads pool).
 	// Zero means DefaultCandidateParallelism.
 	CandidateParallelism int
-	// CacheShards is the number of lock stripes per memo table (rounded up
-	// to a power of two). Zero means DefaultCacheShards.
+	// CacheShards is the number of lock stripes of the evaluator's probe
+	// memo (rounded up to a power of two). Zero means DefaultCacheShards.
 	CacheShards int
 }
 
 // Evaluator answers coverage questions. It is safe for concurrent use.
-// The candidate side of every test — compiled clauses, their repair-literal
-// expansions and CFD-stripped projections — is memoized in lock-striped
-// caches (keyed by the clause's canonical key), because the same candidate
-// clauses are probed against hundreds of prepared examples during a learning
-// run (and every classified tuple during prediction) and 16+ workers probe
-// the caches at once.
+// The candidate side of every batch test — the compiled clause, its
+// CFD-stripped projection and its repair-literal expansions — lives in one
+// probe per clause, memoized in a lock-striped table keyed by the clause's
+// canonical key, because the same candidate clauses are probed against
+// hundreds of prepared examples during a learning run (and every classified
+// tuple during prediction) and 16+ workers look them up at once.
 type Evaluator struct {
 	checker *subsumption.Checker
 	repOpts repair.Options
@@ -60,10 +59,7 @@ type Evaluator struct {
 	planNodes     atomic.Int64
 	planExhausted atomic.Int64
 
-	repCache   *shardedCache[[]logic.Clause]
-	cfdCache   *shardedCache[[]logic.Clause]
-	stripCache *shardedCache[logic.Clause]
-	candCache  *shardedCache[*subsumption.CompiledCandidate]
+	probes *shardedCache[*probe]
 }
 
 // NewEvaluator builds an evaluator.
@@ -77,64 +73,19 @@ func NewEvaluator(opts Options) *Evaluator {
 		candPar = DefaultCandidateParallelism
 	}
 	return &Evaluator{
-		checker:    subsumption.New(opts.Subsumption),
-		repOpts:    opts.Repair,
-		threads:    threads,
-		candPar:    candPar,
-		repCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
-		cfdCache:   newShardedCache[[]logic.Clause](opts.CacheShards),
-		stripCache: newShardedCache[logic.Clause](opts.CacheShards),
-		candCache:  newShardedCache[*subsumption.CompiledCandidate](opts.CacheShards),
+		checker: subsumption.New(opts.Subsumption),
+		repOpts: opts.Repair,
+		threads: threads,
+		candPar: candPar,
+		probes:  newShardedCache[*probe](opts.CacheShards),
 	}
 }
 
-// candidateCached returns the compiled (subsuming-side) form of a clause,
-// compiling it on first use. Compiled candidates are immutable and shared by
-// all workers probing prepared examples.
-func (e *Evaluator) candidateCached(c logic.Clause) *subsumption.CompiledCandidate {
-	return e.candCache.getOrCompute(c.Key(), func() *subsumption.CompiledCandidate {
-		return subsumption.CompileCandidate(c)
-	})
-}
-
-// expandCFD applies only the CFD repair groups of a clause, leaving MD
-// repair literals in place. Results are memoized; an expansion truncated by
-// cancellation is returned but never cached.
-func (e *Evaluator) expandCFD(ctx context.Context, c logic.Clause) []logic.Clause {
-	key := c.Key()
-	if cached, ok := e.cfdCache.get(key); ok {
-		return cached
-	}
-	opts := e.repOpts
-	opts.Origin = logic.OriginCFD
-	out := repair.RepairedClausesContext(ctx, c, opts)
-	if ctx.Err() != nil {
-		return out
-	}
-	e.cfdCache.set(key, out)
-	return out
-}
-
-// repairedCached memoizes full repaired-clause expansion. An expansion
-// truncated by cancellation is returned but never cached.
-func (e *Evaluator) repairedCached(ctx context.Context, c logic.Clause) []logic.Clause {
-	key := c.Key()
-	if cached, ok := e.repCache.get(key); ok {
-		return cached
-	}
-	out := repair.RepairedClausesContext(ctx, c, e.repOpts)
-	if ctx.Err() != nil {
-		return out
-	}
-	e.repCache.set(key, out)
-	return out
-}
-
-// stripCached memoizes StripCFDConnected.
-func (e *Evaluator) stripCached(c logic.Clause) logic.Clause {
-	return e.stripCache.getOrCompute(c.Key(), func() logic.Clause {
-		return StripCFDConnected(c)
-	})
+// probeFor returns the memoized probe of a clause, building it on first
+// use. The batch paths (scoring, coverage bitmaps, negative counts,
+// prediction) go through it, because their clauses recur across batches.
+func (e *Evaluator) probeFor(c logic.Clause) *probe {
+	return e.probes.getOrCompute(c.Key(), func() *probe { return e.newProbe(c) })
 }
 
 // clauseHasCFDRepairs reports whether any repair literal of the clause comes
@@ -148,11 +99,11 @@ func clauseHasCFDRepairs(c logic.Clause) bool {
 	return false
 }
 
-// StripCFDConnected returns the clause obtained by removing every CFD repair
+// stripCFDConnected returns the clause obtained by removing every CFD repair
 // literal and every body literal connected to one (the clause C_md /
 // G_md^e of Section 4.3), followed by the standard clean-up of dangling
 // auxiliary literals.
-func StripCFDConnected(c logic.Clause) logic.Clause {
+func stripCFDConnected(c logic.Clause) logic.Clause {
 	dropLit := make(map[int]bool)
 	for i, l := range c.Body {
 		if l.IsRepair() && l.Origin == logic.OriginCFD {

@@ -130,6 +130,24 @@ func TestCoversPositiveWithCFDRepairs(t *testing.T) {
 	}
 }
 
+// cfdLegClause returns the bottom clause of Superbad and the same clause
+// with its first CFD repair literal dropped, which only the CFD leg of the
+// Section 4.3 test decides (see TestCoversPositiveCFDLeg).
+func cfdLegClause(t *testing.T, b *bottomclause.Builder) (bottom, c logic.Clause) {
+	t.Helper()
+	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range bottom.Body {
+		if l.IsRepair() && l.Origin == logic.OriginCFD {
+			return bottom, bottom.RemoveBodyAt(i)
+		}
+	}
+	t.Fatal("the Superbad bottom clause has no CFD repair literal")
+	return bottom, c
+}
+
 // TestCoversPositiveCFDLeg pins the third step of the Section 4.3 test,
 // where only the CFD expansions decide: the bottom clause of Superbad with
 // one CFD repair literal dropped no longer θ-subsumes the ground clause
@@ -141,20 +159,7 @@ func TestCoversPositiveCFDLeg(t *testing.T) {
 	ctx := context.Background()
 	b := builderFor(true)
 	e := eval()
-	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c logic.Clause
-	for i, l := range bottom.Body {
-		if l.IsRepair() && l.Origin == logic.OriginCFD {
-			c = bottom.RemoveBodyAt(i)
-			break
-		}
-	}
-	if c.Length() == 0 {
-		t.Fatal("the Superbad bottom clause has no CFD repair literal")
-	}
+	bottom, c := cfdLegClause(t, b)
 	def := &logic.Definition{Target: "highGrossing"}
 	def.Add(c, logic.ClauseStats{})
 	for _, tc := range []struct {
@@ -166,7 +171,7 @@ func TestCoversPositiveCFDLeg(t *testing.T) {
 			t.Fatal(err)
 		}
 		eager := e.NewExample(ctx, g)
-		p := e.newProbe(c, false)
+		p := e.newProbe(c)
 		if p.subsumes(ctx, p.cand, eager.prep, false) {
 			t.Fatalf("%s: the direct probe succeeds; the CFD leg is not what decides", tc.title)
 		}
@@ -227,13 +232,13 @@ func TestStripCFDConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := StripCFDConnected(c)
+	stripped := stripCFDConnected(c)
 	for _, l := range stripped.Body {
 		if l.IsRepair() && l.Origin == logic.OriginCFD {
-			t.Fatal("StripCFDConnected left a CFD repair literal")
+			t.Fatal("stripCFDConnected left a CFD repair literal")
 		}
 		if l.Pred == "mov2locale" {
-			t.Fatal("StripCFDConnected left a literal connected to a CFD repair literal")
+			t.Fatal("stripCFDConnected left a literal connected to a CFD repair literal")
 		}
 	}
 	// The MD machinery must survive.
@@ -244,7 +249,7 @@ func TestStripCFDConnected(t *testing.T) {
 		}
 	}
 	if mdRepairs == 0 {
-		t.Fatal("StripCFDConnected removed MD repair literals")
+		t.Fatal("stripCFDConnected removed MD repair literals")
 	}
 }
 

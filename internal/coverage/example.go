@@ -70,7 +70,7 @@ func (e *Evaluator) newPositiveExample(ground logic.Clause) *Example {
 // prepareCFD prepares the CFD side of an example: the MD-only projection
 // G_md^e and the CFD-only repair expansion.
 func (e *Evaluator) prepareCFD(ctx context.Context, ex *Example) {
-	ex.stripped = e.checker.Prepare(StripCFDConnected(ex.Ground))
+	ex.stripped = e.checker.Prepare(stripCFDConnected(ex.Ground))
 	cfdOpts := e.repOpts
 	cfdOpts.Origin = logic.OriginCFD
 	for _, c := range repair.RepairedClausesContext(ctx, ex.Ground, cfdOpts) {
@@ -110,18 +110,19 @@ func (e *Evaluator) NewExamples(ctx context.Context, grounds []logic.Clause) ([]
 }
 
 // CoversPositiveExample reports whether clause c covers the prepared
-// positive example, following Section 4.3 (see probe.coversPositive). The
-// candidate is compiled directly, for one-shot tests of clauses that will
-// not be seen again; batch APIs resolve a shared probe once and reuse its
-// compilation across examples and workers.
+// positive example, following Section 4.3 (see probe.coversPositive). It
+// builds a fresh probe that never enters the memo: its caller, the
+// generalization scan, tests thousands of one-shot clauses, for which the
+// memo's canonical-key render would cost more than the compilation it saves.
+// Batch APIs share the clause's memoized probe across examples and workers.
 func (e *Evaluator) CoversPositiveExample(ctx context.Context, c logic.Clause, ex *Example) bool {
-	return e.newProbe(c, false).coversPositive(ctx, ex)
+	return e.newProbe(c).coversPositive(ctx, ex)
 }
 
 // CountNegativeExamples counts the prepared examples covered as negatives,
 // in parallel.
 func (e *Evaluator) CountNegativeExamples(ctx context.Context, c logic.Clause, exs []*Example) int {
-	p := e.newProbe(c, true)
+	p := e.probeFor(c)
 	n := 0
 	for _, covered := range e.maskParallelExamples(ctx, exs, func(ex *Example) bool { return p.coversNegative(ctx, ex) }) {
 		if covered {
@@ -135,7 +136,7 @@ func (e *Evaluator) CountNegativeExamples(ctx context.Context, c logic.Clause, e
 // covers the (positive-style) example whose ground bottom clause is ge. It
 // is the prediction rule used when classifying test data: the ground clause
 // is prepared once (its CFD side only if a direct probe fails) and probed by
-// each clause, whose compilation the evaluator caches across predictions. A
+// each clause, whose probe the evaluator memoizes across predictions. A
 // cancelled test conservatively reports no coverage (callers check
 // ctx.Err()).
 func (e *Evaluator) DefinitionCoversContext(ctx context.Context, d *logic.Definition, ge logic.Clause) bool {
@@ -146,7 +147,7 @@ func (e *Evaluator) DefinitionCoversContext(ctx context.Context, d *logic.Defini
 // covers the prepared example.
 func (e *Evaluator) DefinitionCoversExample(ctx context.Context, d *logic.Definition, ex *Example) bool {
 	for _, c := range d.Clauses {
-		if e.newProbe(c, true).coversPositive(ctx, ex) {
+		if e.probeFor(c).coversPositive(ctx, ex) {
 			return true
 		}
 	}

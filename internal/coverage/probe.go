@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dlearn/internal/logic"
+	"dlearn/internal/repair"
 	"dlearn/internal/subsumption"
 )
 
@@ -12,18 +13,13 @@ import (
 // examples: the candidate compiled once (the dominant cost of a fast-path
 // θ-subsumption test used to be recompiling it per example), plus lazily
 // resolved compilations of its CFD-stripped projection, CFD expansion and
-// full repair expansion. A probe is resolved once per batch and shared
-// read-mostly by all workers; the clause's canonical key is therefore
-// computed a constant number of times per batch instead of once per example.
+// full repair expansion. The batch paths share one memoized probe per clause
+// (Evaluator.probeFor) across workers and batches; one-shot tests build a
+// fresh probe that is never stored.
 type probe struct {
 	e      *Evaluator
 	c      logic.Clause
 	hasCFD bool
-	// cached selects whether compilations go through the evaluator's
-	// lock-striped caches (batch scoring, where candidates repeat across
-	// batches) or are compiled directly (one-shot tests of clauses that will
-	// never be seen again, e.g. the generalization blocking scan).
-	cached bool
 	cand   *subsumption.CompiledCandidate
 
 	mu          sync.Mutex
@@ -34,21 +30,9 @@ type probe struct {
 	repResolved bool
 }
 
-// newProbe compiles the candidate side of a clause. cached selects
-// evaluator-cache reuse (see probe.cached).
-func (e *Evaluator) newProbe(c logic.Clause, cached bool) *probe {
-	var cand *subsumption.CompiledCandidate
-	if cached {
-		cand = e.candidateCached(c)
-	} else {
-		cand = subsumption.CompileCandidate(c)
-	}
-	return &probe{
-		e: e, c: c,
-		hasCFD: clauseHasCFDRepairs(c),
-		cached: cached,
-		cand:   cand,
-	}
+// newProbe compiles the candidate side of a clause.
+func (e *Evaluator) newProbe(c logic.Clause) *probe {
+	return &probe{e: e, c: c, hasCFD: clauseHasCFDRepairs(c), cand: subsumption.CompileCandidate(c)}
 }
 
 // subsumes issues one instrumented θ-subsumption probe whose work feeds the
@@ -59,61 +43,45 @@ func (p *probe) subsumes(ctx context.Context, cc *subsumption.CompiledCandidate,
 	return ok
 }
 
-// compile compiles a derived clause (stripped projection, repair expansion)
-// honouring the probe's caching mode.
-func (p *probe) compile(c logic.Clause) *subsumption.CompiledCandidate {
-	if p.cached {
-		return p.e.candidateCached(c)
-	}
-	return subsumption.CompileCandidate(c)
-}
-
 // strippedCand returns the compiled CFD-stripped projection of the
 // candidate, resolving it on first use.
 func (p *probe) strippedCand() *subsumption.CompiledCandidate {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stripped == nil {
-		p.stripped = p.compile(p.e.stripCached(p.c))
+		p.stripped = subsumption.CompileCandidate(stripCFDConnected(p.c))
 	}
 	return p.stripped
 }
 
-// cfdCands returns the compiled CFD expansion of the candidate. An
-// expansion truncated by cancellation is returned but not memoized, matching
-// the evaluator cache semantics.
+// cfdCands returns the compiled CFD expansion of the candidate.
 func (p *probe) cfdCands(ctx context.Context) []*subsumption.CompiledCandidate {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfdResolved {
-		return p.cfdExp
-	}
-	clauses := p.e.expandCFD(ctx, p.c)
-	out := make([]*subsumption.CompiledCandidate, len(clauses))
-	for i, ce := range clauses {
-		out[i] = p.compile(ce)
-	}
-	if ctx.Err() == nil {
-		p.cfdExp, p.cfdResolved = out, true
-	}
-	return out
+	opts := p.e.repOpts
+	opts.Origin = logic.OriginCFD
+	return p.expansion(ctx, opts, &p.cfdExp, &p.cfdResolved)
 }
 
-// repairedCands returns the compiled full repair expansion of the candidate,
-// with the same truncation semantics as cfdCands.
+// repairedCands returns the compiled full repair expansion of the candidate.
 func (p *probe) repairedCands(ctx context.Context) []*subsumption.CompiledCandidate {
+	return p.expansion(ctx, p.e.repOpts, &p.repaired, &p.repResolved)
+}
+
+// expansion returns the compiled repair expansion of the candidate under
+// opts, resolving it into *dst on first use. An expansion truncated by
+// cancellation is returned but not kept, so the next call recomputes it.
+func (p *probe) expansion(ctx context.Context, opts repair.Options, dst *[]*subsumption.CompiledCandidate, resolved *bool) []*subsumption.CompiledCandidate {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.repResolved {
-		return p.repaired
+	if *resolved {
+		return *dst
 	}
-	clauses := p.e.repairedCached(ctx, p.c)
+	clauses := repair.RepairedClausesContext(ctx, p.c, opts)
 	out := make([]*subsumption.CompiledCandidate, len(clauses))
-	for i, cr := range clauses {
-		out[i] = p.compile(cr)
+	for i, c := range clauses {
+		out[i] = subsumption.CompileCandidate(c)
 	}
 	if ctx.Err() == nil {
-		p.repaired, p.repResolved = out, true
+		*dst, *resolved = out, true
 	}
 	return out
 }

@@ -131,9 +131,9 @@ func (e *Evaluator) ScoreCandidates(ctx context.Context, cands []logic.Clause, p
 // the batch is skipped. floorFn is re-read at every bound check, so a batch
 // whose candidate is overtaken mid-flight (a lower-indexed candidate
 // completes) exits early instead of finishing against the stale floor it
-// started with; floorFn must be monotone non-decreasing. The candidate is
-// compiled once before the workers start and shared (read-only) by all of
-// them. The boolean result is CandidateResult.Exact.
+// started with; floorFn must be monotone non-decreasing. The candidate's
+// memoized probe is looked up once before the workers start and shared by
+// all of them. The boolean result is CandidateResult.Exact.
 func (e *Evaluator) scoreCandidate(ctx context.Context, c logic.Clause, pos, neg []*Example, floorFn func() int) (Score, bool) {
 	nPos, nNeg := len(pos), len(neg)
 	if nPos <= floorFn() {
@@ -141,7 +141,7 @@ func (e *Evaluator) scoreCandidate(ctx context.Context, c logic.Clause, pos, neg
 		// floor; skip the whole batch.
 		return Score{}, false
 	}
-	p := e.newProbe(c, true)
+	p := e.probeFor(c)
 
 	var posCov, posMiss, negCov, done atomic.Int64
 	var stopped atomic.Bool

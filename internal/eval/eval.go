@@ -71,28 +71,6 @@ func (m Metrics) String() string {
 		m.Precision(), m.Recall(), m.F1(), m.TruePositives, m.FalsePositives, m.TrueNegatives, m.FalseNegatives)
 }
 
-// Evaluate scores predictions against labels: predictions[i] is the
-// predicted label of an example whose true label is labels[i].
-func Evaluate(predictions, labels []bool) (Metrics, error) {
-	if len(predictions) != len(labels) {
-		return Metrics{}, fmt.Errorf("eval: %d predictions for %d labels", len(predictions), len(labels))
-	}
-	var m Metrics
-	for i, p := range predictions {
-		switch {
-		case p && labels[i]:
-			m.TruePositives++
-		case p && !labels[i]:
-			m.FalsePositives++
-		case !p && labels[i]:
-			m.FalseNegatives++
-		default:
-			m.TrueNegatives++
-		}
-	}
-	return m, nil
-}
-
 // Split is one train/test partition of a labelled example set.
 type Split struct {
 	TrainPos, TrainNeg []relation.Tuple

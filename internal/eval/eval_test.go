@@ -36,21 +36,6 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	preds := []bool{true, true, false, false}
-	labels := []bool{true, false, true, false}
-	m, err := Evaluate(preds, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TruePositives != 1 || m.FalsePositives != 1 || m.FalseNegatives != 1 || m.TrueNegatives != 1 {
-		t.Errorf("confusion matrix wrong: %+v", m)
-	}
-	if _, err := Evaluate([]bool{true}, []bool{}); err == nil {
-		t.Error("length mismatch must error")
-	}
-}
-
 func examples(rel string, n int, prefix string) []relation.Tuple {
 	out := make([]relation.Tuple, n)
 	for i := range out {

@@ -19,10 +19,6 @@ type CoverFunc func(c, ground logic.Clause) bool
 // Generalizer produces minimal generalizations of clauses.
 type Generalizer struct {
 	covers CoverFunc
-	// MaxRemovals caps the number of literals removed in a single
-	// generalization call, as a safety valve on malformed inputs. Zero
-	// means the clause length.
-	MaxRemovals int
 }
 
 // New returns a generalizer that uses the given coverage test.
@@ -48,21 +44,13 @@ func (g *Generalizer) Generalize(c, ge logic.Clause) (logic.Clause, bool) {
 	if g.covers(c, ge) {
 		return c.Clone(), true
 	}
-	limit := g.MaxRemovals
-	removed := 0
 	kept := logic.Clause{Head: c.Head.Clone()}
 	for i := range c.Body {
-		if limit > 0 && removed >= limit {
-			// Safety valve: keep the remaining literals untested.
-			kept.Body = append(kept.Body, c.Body[i].Clone())
-			continue
-		}
 		kept.Body = append(kept.Body, c.Body[i].Clone())
 		// Only head-connected prefixes are meaningful hypotheses; prune the
 		// unconnected tail when testing.
 		if !g.covers(kept.PruneUnconnected(), ge) {
 			kept.Body = kept.Body[:len(kept.Body)-1]
-			removed++
 		}
 	}
 	// Removing literals can disconnect others from the head (including
@@ -70,17 +58,4 @@ func (g *Generalizer) Generalize(c, ge logic.Clause) (logic.Clause, bool) {
 	// prune them so the clause stays head-connected (Section 4.2).
 	out := kept.PruneUnconnected()
 	return out, g.covers(out, ge)
-}
-
-// GeneralizeAll applies Generalize for each ground bottom clause in turn,
-// producing one candidate per example. Candidates that could not be made to
-// cover their example are skipped.
-func (g *Generalizer) GeneralizeAll(c logic.Clause, grounds []logic.Clause) []logic.Clause {
-	var out []logic.Clause
-	for _, ge := range grounds {
-		if cand, ok := g.Generalize(c, ge); ok {
-			out = append(out, cand)
-		}
-	}
-	return out
 }

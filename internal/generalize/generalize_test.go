@@ -162,32 +162,6 @@ func TestGeneralizeUncoverableExample(t *testing.T) {
 	}
 }
 
-func TestGeneralizeAll(t *testing.T) {
-	b, ev := paperDB()
-	g := New(covers(ev))
-	bottom, err := b.BottomClause(relation.NewTuple("highGrossing", "Superbad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var grounds []logic.Clause
-	for _, title := range []string{"Zoolander", "Orphanage"} {
-		ge, err := b.GroundBottomClause(relation.NewTuple("highGrossing", title))
-		if err != nil {
-			t.Fatal(err)
-		}
-		grounds = append(grounds, ge)
-	}
-	cands := g.GeneralizeAll(bottom, grounds)
-	if len(cands) != 2 {
-		t.Fatalf("expected 2 candidates, got %d", len(cands))
-	}
-	for i, c := range cands {
-		if !covers(ev)(c, grounds[i]) {
-			t.Errorf("candidate %d does not cover its example", i)
-		}
-	}
-}
-
 func TestGeneralizeAlreadyCovering(t *testing.T) {
 	// A clause that already covers the example is returned unchanged.
 	b, ev := paperDB()

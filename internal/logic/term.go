@@ -149,6 +149,3 @@ func (c *VarCounter) Fresh() Term {
 	c.next++
 	return t
 }
-
-// Peek reports how many variables have been generated so far.
-func (c *VarCounter) Peek() int { return c.next }

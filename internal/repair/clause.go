@@ -352,20 +352,15 @@ func normalizeEqualities(c logic.Clause) logic.Clause {
 	return out
 }
 
-// RepairedClauses converts a clause with repair literals into its set of
-// repaired clauses (Section 3.2). Each element is free of repair literals.
-// Different application orders of the repair groups can yield different
-// repaired clauses; all distinct outcomes are returned (subject to the
-// Options caps). A clause without repair literals repairs to itself (after
-// the standard clean-up).
-func RepairedClauses(c logic.Clause, opts Options) []logic.Clause {
-	return RepairedClausesContext(context.Background(), c, opts)
-}
-
-// RepairedClausesContext is RepairedClauses with cancellation: when ctx is
-// cancelled the expansion stops exploring and returns the (possibly
-// incomplete) set found so far. Callers that must distinguish a complete
-// expansion from a truncated one check ctx.Err() afterwards.
+// RepairedClausesContext converts a clause with repair literals into its set
+// of repaired clauses (Section 3.2). Each element is free of repair
+// literals. Different application orders of the repair groups can yield
+// different repaired clauses; all distinct outcomes are returned (subject to
+// the Options caps). A clause without repair literals repairs to itself
+// (after the standard clean-up). When ctx is cancelled the expansion stops
+// exploring and returns the (possibly incomplete) set found so far. Callers
+// that must distinguish a complete expansion from a truncated one check
+// ctx.Err() afterwards.
 func RepairedClausesContext(ctx context.Context, c logic.Clause, opts Options) []logic.Clause {
 	type state struct {
 		clause logic.Clause
@@ -443,7 +438,7 @@ func RepairedClausesContext(ctx context.Context, c logic.Clause, opts Options) [
 func RepairedDefinitions(d *logic.Definition, opts Options) [][]logic.Clause {
 	out := make([][]logic.Clause, 0, len(d.Clauses))
 	for _, c := range d.Clauses {
-		out = append(out, RepairedClauses(c, opts))
+		out = append(out, RepairedClausesContext(context.Background(), c, opts))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func paperMDClause() logic.Clause {
 }
 
 func TestRepairedClausesExample32(t *testing.T) {
-	got := RepairedClauses(paperMDClause(), Options{})
+	got := RepairedClausesContext(context.Background(), paperMDClause(), Options{})
 	if len(got) != 1 {
 		t.Fatalf("Example 3.2 should yield exactly one repaired clause, got %d:\n%v", len(got), got)
 	}
@@ -87,7 +88,7 @@ func example33Clause() logic.Clause {
 }
 
 func TestRepairedClausesExample33TwoRepairs(t *testing.T) {
-	got := RepairedClauses(example33Clause(), Options{})
+	got := RepairedClausesContext(context.Background(), example33Clause(), Options{})
 	if len(got) != 2 {
 		t.Fatalf("Example 3.3 should yield two repaired clauses, got %d:\n%v", len(got), got)
 	}
@@ -141,7 +142,7 @@ func cfdViolationClause() logic.Clause {
 }
 
 func TestRepairedClausesCFDViolationAlternatives(t *testing.T) {
-	got := RepairedClauses(cfdViolationClause(), Options{})
+	got := RepairedClausesContext(context.Background(), cfdViolationClause(), Options{})
 	if len(got) < 3 {
 		t.Fatalf("CFD violation should yield at least 3 distinct repairs, got %d:\n%v", len(got), got)
 	}
@@ -194,7 +195,7 @@ func TestRepairedClausesCFDViolationAlternatives(t *testing.T) {
 
 func TestRepairedClausesNoRepairLiterals(t *testing.T) {
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	got := RepairedClauses(c, Options{})
+	got := RepairedClausesContext(context.Background(), c, Options{})
 	if len(got) != 1 || !got[0].Equal(c) {
 		t.Fatalf("clause without repair literals should repair to itself: %v", got)
 	}
@@ -210,7 +211,7 @@ func TestRepairedClausesFalseConditionDropsGroup(t *testing.T) {
 		logic.RepairInGroup("md1", "md1#0", logic.OriginMD, x, vx,
 			logic.Condition{Op: logic.CondSim, L: x, R: tt}),
 	)
-	got := RepairedClauses(c, Options{})
+	got := RepairedClausesContext(context.Background(), c, Options{})
 	if len(got) != 1 {
 		t.Fatalf("expected a single repaired clause, got %d", len(got))
 	}
@@ -237,7 +238,7 @@ func TestRepairedDefinitionsAndCount(t *testing.T) {
 }
 
 func TestRepairedClausesRespectsCap(t *testing.T) {
-	got := RepairedClauses(example33Clause(), Options{MaxClauses: 1})
+	got := RepairedClausesContext(context.Background(), example33Clause(), Options{MaxClauses: 1})
 	if len(got) != 1 {
 		t.Fatalf("MaxClauses=1 should cap the result, got %d", len(got))
 	}
@@ -248,7 +249,7 @@ func TestRepairedClausesRespectsCap(t *testing.T) {
 func TestPropertyRepairedClausesAreRepaired(t *testing.T) {
 	inputs := []logic.Clause{paperMDClause(), example33Clause(), cfdViolationClause()}
 	for _, c := range inputs {
-		for _, rc := range RepairedClauses(c, Options{}) {
+		for _, rc := range RepairedClausesContext(context.Background(), c, Options{}) {
 			if rc.HasRepairLiterals() {
 				t.Fatalf("repaired clause contains repair literals: %v", rc)
 			}
@@ -496,7 +497,7 @@ func TestPropertyMinimalCFDRepairSatisfies(t *testing.T) {
 func TestRepairedClauseStringIsReadable(t *testing.T) {
 	// Guard against regressions in rendering that would make EXPERIMENTS.md
 	// output unreadable: the repaired clause of Example 3.2 mentions vx.
-	got := RepairedClauses(paperMDClause(), Options{})[0].String()
+	got := RepairedClausesContext(context.Background(), paperMDClause(), Options{})[0].String()
 	if !strings.Contains(got, "highGrossing(vx)") {
 		t.Errorf("unexpected rendering: %s", got)
 	}

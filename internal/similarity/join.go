@@ -125,9 +125,6 @@ func commonRunes(a, b []rune) int {
 // Len returns the number of indexed values.
 func (idx *Index) Len() int { return len(idx.values) }
 
-// Threshold returns the similarity threshold of the index.
-func (idx *Index) Threshold() float64 { return idx.threshold }
-
 // boundedPos is a candidate of TopK: an index position and the upper bound
 // of its score.
 type boundedPos struct {
@@ -235,12 +232,6 @@ func compareMatches(a, b Match) int {
 		return cmp.Compare(b.Score, a.Score)
 	}
 	return strings.Compare(a.Value, b.Value)
-}
-
-// Similar reports whether the probe is similar (>= threshold) to the given
-// indexed value. Values that were not indexed are still compared directly.
-func (idx *Index) Similar(probe, value string) bool {
-	return Combined(idx.opts)(probe, value) >= idx.threshold
 }
 
 // candidates returns the positions sharing at least one token with the probe

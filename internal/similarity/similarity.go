@@ -165,27 +165,6 @@ func TokenSet(s string) map[string]bool {
 	return set
 }
 
-// Jaccard computes the Jaccard similarity of the token sets of two strings.
-// It is not part of the paper's operator but is exposed for the Castor-Clean
-// baseline's blocking heuristics and for tests.
-func Jaccard(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 func max2(a, b float64) float64 {
 	if a > b {
 		return a

@@ -89,18 +89,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if got := Jaccard("star wars", "wars star"); got != 1 {
-		t.Errorf("same token sets should give 1, got %f", got)
-	}
-	if got := Jaccard("star wars", "jurassic park"); got != 0 {
-		t.Errorf("disjoint token sets should give 0, got %f", got)
-	}
-	if got := Jaccard("", ""); got != 1 {
-		t.Errorf("two empty strings should give 1, got %f", got)
-	}
-}
-
 func TestIndexTopK(t *testing.T) {
 	values := []string{
 		"Star Wars: Episode IV - 1977",
@@ -127,9 +115,6 @@ func TestIndexTopK(t *testing.T) {
 	if idx.Len() != 4 {
 		t.Errorf("Len = %d", idx.Len())
 	}
-	if idx.Threshold() != 0.5 {
-		t.Errorf("Threshold = %f", idx.Threshold())
-	}
 }
 
 func TestIndexTopKLimit(t *testing.T) {
@@ -154,11 +139,11 @@ func TestIndexExactMatchWithoutTokens(t *testing.T) {
 
 func TestIndexSimilar(t *testing.T) {
 	idx := NewIndex([]string{"Superbad (2007)"}, DefaultOptions(), 0.6)
-	if !idx.Similar("Superbad", "Superbad (2007)") {
-		t.Error("Superbad should be similar to Superbad (2007)")
+	if got := idx.TopK("Superbad", 1); len(got) != 1 || got[0].Value != "Superbad (2007)" {
+		t.Errorf("Superbad should be similar to Superbad (2007), got %v", got)
 	}
-	if idx.Similar("Zoolander", "Superbad (2007)") {
-		t.Error("Zoolander should not be similar to Superbad (2007)")
+	if got := idx.TopK("Zoolander", 1); len(got) != 0 {
+		t.Errorf("Zoolander should not be similar to Superbad (2007), got %v", got)
 	}
 }
 

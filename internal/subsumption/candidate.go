@@ -92,9 +92,6 @@ func CompileCandidate(c logic.Clause) *CompiledCandidate {
 	return cc
 }
 
-// Clause returns the clause the candidate was compiled from.
-func (cc *CompiledCandidate) Clause() logic.Clause { return cc.c }
-
 // ProbeStats reports how much work one probe did, for plan telemetry.
 type ProbeStats struct {
 	// Nodes is the number of backtracking-search nodes the probe explored

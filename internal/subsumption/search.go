@@ -65,9 +65,6 @@ type Prepared struct {
 	maxNodes  int
 }
 
-// Clause returns the clause the preparation was built from.
-func (p *Prepared) Clause() logic.Clause { return p.d }
-
 // Prepare preprocesses the subsumed side d for repeated subsumption tests.
 func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 	p := &Prepared{

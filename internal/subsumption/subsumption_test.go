@@ -260,8 +260,8 @@ func TestSubsumptionSoundnessTheorem46(t *testing.T) {
 	if ok, _ := subsumes(checker(), c, d); !ok {
 		t.Fatal("precondition: c subsumes d")
 	}
-	cReps := repair.RepairedClauses(c, repair.Options{})
-	dReps := repair.RepairedClauses(d, repair.Options{})
+	cReps := repair.RepairedClausesContext(context.Background(), c, repair.Options{})
+	dReps := repair.RepairedClausesContext(context.Background(), d, repair.Options{})
 	for _, cr := range cReps {
 		found := false
 		for _, dr := range dReps {

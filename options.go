@@ -44,10 +44,10 @@ func WithCandidateParallelism(n int) Option {
 }
 
 // WithEvalCacheShards sets the number of lock stripes in the coverage
-// evaluator's memo tables (repair expansions, CFD projections, compiled
-// candidates). The value is rounded up to a power of two; more stripes
-// reduce contention between coverage workers. Zero selects the default
-// (16, matching the paper's 16-way parallel coverage testing).
+// evaluator's probe memo (one compiled candidate, CFD projection and repair
+// expansion per clause). The value is rounded up to a power of two; more
+// stripes reduce contention between coverage workers. Zero selects the
+// default (16, matching the paper's 16-way parallel coverage testing).
 func WithEvalCacheShards(n int) Option {
 	return func(e *Engine) { e.cfg.EvalCacheShards = n }
 }
