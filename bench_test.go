@@ -217,7 +217,7 @@ func BenchmarkAblationSimilarityBlocking(b *testing.B) {
 	ds := ablationDataset(b)
 	values := ds.Problem.Instance.DistinctValues("omdb_movies", 1)
 	probes := ds.Problem.Instance.DistinctValues("imdb_movies", 1)[:20]
-	sim := similarity.Default()
+	sim := similarity.Combined(similarity.DefaultOptions())
 
 	b.Run("blocked-index", func(b *testing.B) {
 		idx := similarity.NewIndex(values, similarity.DefaultOptions(), 0.55)

@@ -95,27 +95,33 @@ func main() {
 	}
 
 	selected := strings.ToLower(*exp)
-	if selected == "all" {
-		for _, e := range experiments {
-			if err := runOne(e.name, e.run); err != nil {
-				fmt.Fprintf(os.Stderr, "dlearn-bench: %s: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			fmt.Println()
+	var runs []int
+	for i, e := range experiments {
+		if selected == "all" || e.name == selected {
+			runs = append(runs, i)
 		}
-		return
 	}
-	for _, e := range experiments {
-		if e.name != selected {
-			continue
-		}
-		if err := runOne(e.name, e.run); err != nil {
-			fmt.Fprintf(os.Stderr, "dlearn-bench: %v\n", err)
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "dlearn-bench: unknown experiment %q\n", *exp)
+		flag.Usage()
+		os.Exit(2)
+	}
+	// Create the summary directory before any experiment runs, so a bad
+	// -json path fails at once instead of after hours of paper-scale runs.
+	if *jsonDir != "" {
+		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "dlearn-bench: -json: %v\n", err)
 			os.Exit(1)
 		}
-		return
 	}
-	fmt.Fprintf(os.Stderr, "dlearn-bench: unknown experiment %q\n", *exp)
-	flag.Usage()
-	os.Exit(2)
+	for _, i := range runs {
+		e := experiments[i]
+		if err := runOne(e.name, e.run); err != nil {
+			fmt.Fprintf(os.Stderr, "dlearn-bench: %s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		if selected == "all" {
+			fmt.Println()
+		}
+	}
 }

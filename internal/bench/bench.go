@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"dlearn/internal/baseline"
 	"dlearn/internal/core"
@@ -166,12 +167,12 @@ func crossValidate(ctx context.Context, system baseline.System, ds *datagen.Data
 		problem := ds.Problem
 		problem.Pos = split.TrainPos
 		problem.Neg = split.TrainNeg
-		sw := eval.NewStopwatch()
+		start := time.Now()
 		res, err := baseline.RunContext(ctx, system, problem, cfg)
 		if err != nil {
 			return eval.Metrics{}, 0, err
 		}
-		minutes += sw.Minutes()
+		minutes += time.Since(start).Minutes()
 		m, err := eval.EvaluateSplit(res.Model, split)
 		if err != nil {
 			return eval.Metrics{}, 0, err

@@ -248,8 +248,10 @@ func TestBottomClauseCFDRepairLiterals(t *testing.T) {
 	// no repaired clause may keep two mov2locale literals that agree on the
 	// (unsplit) title variable but disagree on country.
 	for _, rc := range repair.RepairedClausesContext(context.Background(), c, repair.Options{}) {
-		if rc.HasRepairLiterals() {
-			t.Fatalf("unrepaired clause returned: %v", rc)
+		for _, l := range rc.Body {
+			if l.IsRepair() {
+				t.Fatalf("unrepaired clause returned: %v", rc)
+			}
 		}
 	}
 	// Without CFDs, no CFD repair literals are added.

@@ -47,8 +47,8 @@ func TestMDValidate(t *testing.T) {
 func TestMDIndexResolution(t *testing.T) {
 	s := testSchema()
 	md := SimpleMD("md1", "movies", "title", "highBudgetMovies", "title")
-	if got := md.LeftAttrIndexes(s); len(got) != 1 || got[0] != 1 {
-		t.Errorf("LeftAttrIndexes = %v", got)
+	if got := md.Reverse().RightAttrIndexes(s); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Reverse().RightAttrIndexes = %v", got)
 	}
 	if got := md.RightAttrIndexes(s); len(got) != 1 || got[0] != 0 {
 		t.Errorf("RightAttrIndexes = %v", got)
@@ -56,9 +56,6 @@ func TestMDIndexResolution(t *testing.T) {
 	l, r := md.MatchIndexes(s)
 	if l != 1 || r != 0 {
 		t.Errorf("MatchIndexes = %d, %d", l, r)
-	}
-	if !md.Involves("movies") || !md.Involves("highBudgetMovies") || md.Involves("mov2locale") {
-		t.Error("Involves misbehaves")
 	}
 }
 

@@ -104,17 +104,6 @@ func (m MD) Validate(schema *relation.Schema) error {
 	return nil
 }
 
-// LeftAttrIndexes resolves the compared attributes of the left relation to
-// positions.
-func (m MD) LeftAttrIndexes(schema *relation.Schema) []int {
-	r := schema.Relation(m.LeftRel)
-	out := make([]int, len(m.Similar))
-	for i, p := range m.Similar {
-		out[i] = r.AttrIndex(p.Left)
-	}
-	return out
-}
-
 // RightAttrIndexes resolves the compared attributes of the right relation to
 // positions.
 func (m MD) RightAttrIndexes(schema *relation.Schema) []int {
@@ -131,10 +120,6 @@ func (m MD) MatchIndexes(schema *relation.Schema) (left, right int) {
 	return schema.Relation(m.LeftRel).AttrIndex(m.MatchLeft),
 		schema.Relation(m.RightRel).AttrIndex(m.MatchRight)
 }
-
-// Involves reports whether the MD's left-hand side compares attributes of
-// the given relation.
-func (m MD) Involves(rel string) bool { return m.LeftRel == rel || m.RightRel == rel }
 
 // Reverse returns the MD with its two sides swapped. MDs are symmetric for
 // the purposes of similarity search during bottom-clause construction.

@@ -83,8 +83,9 @@ type Config struct {
 	// are used to produce candidate generalizations in each step.
 	GeneralizationSample int
 	// NegativeSearchSample caps how many negative examples are used to score
-	// candidate clauses during the hill-climbing search (the acceptance test
-	// always uses all of them). Zero means all negatives.
+	// candidate clauses during the hill-climbing search: the first n in
+	// example order, not a random sample (the acceptance test always uses
+	// all of them). Zero means all negatives.
 	NegativeSearchSample int
 	// MinPositiveCoverage is the minimum number of positive training
 	// examples a clause must cover to be added to the definition.

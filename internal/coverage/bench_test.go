@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -72,7 +73,7 @@ func benchCandidates() []logic.Clause {
 		)
 	}
 	noGenre := base("comedy")
-	noGenre = noGenre.RemoveBodyAt(1) // drop mov2genres: covers everything
+	noGenre.Body = slices.Delete(noGenre.Body, 1, 2) // drop mov2genres: covers everything
 	withLocale := base("comedy")
 	withLocale.Body = append(withLocale.Body,
 		logic.Rel("mov2locale", logic.Var("t"), logic.Const("English"), logic.Var("c")))

@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"dlearn/internal/bottomclause"
@@ -141,7 +142,9 @@ func cfdLegClause(t *testing.T, b *bottomclause.Builder) (bottom, c logic.Clause
 	}
 	for i, l := range bottom.Body {
 		if l.IsRepair() && l.Origin == logic.OriginCFD {
-			return bottom, bottom.RemoveBodyAt(i)
+			c = bottom.Clone()
+			c.Body = slices.Delete(c.Body, i, i+1)
+			return bottom, c
 		}
 	}
 	t.Fatal("the Superbad bottom clause has no CFD repair literal")

@@ -2,10 +2,12 @@
 // walk every Markdown file at the repo root and under docs/ and verify that
 // (a) relative links resolve to files that exist (including heading anchors
 // within this repository's own files) and (b) references to Go identifiers
-// of the public dlearn package — `dlearn.Foo` mentions and option functions
-// like `WithThreads(n)` — name identifiers that still exist, so an API
-// rename breaks the build instead of silently stranding the README. CI runs
-// it as the docs job; locally it is part of the ordinary test suite.
+// — `dlearn.Foo` mentions, option functions like `WithThreads(n)`, and
+// internal references like `coverage.Evaluator.ScoreCandidates` — name
+// identifiers that still exist, so an API rename breaks the build instead of
+// silently stranding the README. A third test keeps exported internal
+// functions that no program file calls from shipping. CI runs it as the docs
+// job; locally it is part of the ordinary test suite.
 package docscheck
 
 import (
@@ -200,12 +202,90 @@ var qualifiedRefPattern = regexp.MustCompile(`\bdlearn\.([A-Z][A-Za-z0-9_]*)`)
 // reference, not prose.
 var optionRefPattern = regexp.MustCompile("`(With[A-Z][A-Za-z0-9_]*)")
 
+// internalDeclarations parses the non-test Go files under internal/ and
+// returns, per package name, every name a Markdown reference can resolve
+// to: top-level declarations ("Ident") plus the methods, struct fields and
+// interface methods of declared types ("Type.Member").
+func internalDeclarations(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := make(map[string]map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join(repoRoot, "internal"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := decls[f.Name.Name]
+		if names == nil {
+			names = make(map[string]bool)
+			decls[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					names[receiverTypeName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+				} else {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+						var members *ast.FieldList
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields
+						case *ast.InterfaceType:
+							members = typ.Methods
+						}
+						if members == nil {
+							continue
+						}
+						for _, field := range members.List {
+							for _, n := range field.Names {
+								names[s.Name.Name+"."+n.Name] = true
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("parsing internal/: %v", err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no internal packages found; is repoRoot wrong?")
+	}
+	return decls
+}
+
+// codeSpanPattern matches an inline Markdown code span.
+var codeSpanPattern = regexp.MustCompile("`[^`\n]+`")
+
+// internalRefPattern matches pkg.Ident and pkg.Type.Member references
+// inside a code span, e.g. `coverage.Evaluator.ScoreCandidates`. Only
+// references whose pkg names an internal package are checked, so standard
+// library mentions such as `context.WithTimeout` pass through.
+var internalRefPattern = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z][A-Za-z0-9_]*))?`)
+
 // TestMarkdownAPIReferencesExist fails on any Markdown reference to a public
-// dlearn identifier that is no longer declared — the docs-drift guard for
-// the sections that document engine options, observer events and
-// persistence types.
+// dlearn identifier, or to an identifier of an internal package, that is no
+// longer declared — the docs-drift guard for the sections that document
+// engine options, observer events, persistence types and the internals.
 func TestMarkdownAPIReferencesExist(t *testing.T) {
 	names := publicIdentifiers(t)
+	internal := internalDeclarations(t)
 	for _, file := range markdownFiles(t) {
 		data, err := os.ReadFile(file)
 		if err != nil {
@@ -220,6 +300,21 @@ func TestMarkdownAPIReferencesExist(t *testing.T) {
 		for _, m := range optionRefPattern.FindAllStringSubmatch(text, -1) {
 			if !names[m[1]] {
 				t.Errorf("%s: references option %s, which is not declared in the public API", displayPath(file), m[1])
+			}
+		}
+		for _, span := range codeSpanPattern.FindAllString(text, -1) {
+			for _, m := range internalRefPattern.FindAllStringSubmatch(span, -1) {
+				pkg := internal[m[1]]
+				if pkg == nil {
+					continue
+				}
+				ref := m[2]
+				if m[3] != "" {
+					ref += "." + m[3]
+				}
+				if !pkg[ref] {
+					t.Errorf("%s: references %s.%s, which internal package %s does not declare", displayPath(file), m[1], ref, m[1])
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dlearn/internal/relation"
 )
@@ -54,15 +53,6 @@ func (m Metrics) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Accuracy is (TP + TN) / total.
-func (m Metrics) Accuracy() float64 {
-	total := m.TruePositives + m.FalsePositives + m.TrueNegatives + m.FalseNegatives
-	if total == 0 {
-		return 0
-	}
-	return float64(m.TruePositives+m.TrueNegatives) / float64(total)
 }
 
 // String renders the metrics compactly.
@@ -179,16 +169,3 @@ func EvaluateSplit(m Predictor, s Split) (Metrics, error) {
 	}
 	return metrics, nil
 }
-
-// Stopwatch measures wall-clock durations for the experiment reports.
-type Stopwatch struct{ start time.Time }
-
-// NewStopwatch starts a stopwatch.
-func NewStopwatch() *Stopwatch { return &Stopwatch{start: time.Now()} }
-
-// Elapsed returns the time since the stopwatch started.
-func (s *Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }
-
-// Minutes returns the elapsed time in minutes, the unit used in the paper's
-// tables.
-func (s *Stopwatch) Minutes() float64 { return s.Elapsed().Minutes() }

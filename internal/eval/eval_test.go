@@ -19,11 +19,8 @@ func TestMetrics(t *testing.T) {
 	if f := m.F1(); math.Abs(f-0.8) > 1e-9 {
 		t.Errorf("f1 = %f", f)
 	}
-	if a := m.Accuracy(); math.Abs(a-26.0/30.0) > 1e-9 {
-		t.Errorf("accuracy = %f", a)
-	}
 	var zero Metrics
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 || zero.Accuracy() != 0 {
+	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
 		t.Error("zero metrics should all be 0, not NaN")
 	}
 	other := Metrics{TruePositives: 1}
@@ -126,13 +123,6 @@ func TestEvaluateSplit(t *testing.T) {
 	}
 	if m.FalseNegatives != 4 || m.TrueNegatives != 6 {
 		t.Errorf("always-negative predictor confusion wrong: %+v", m)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := NewStopwatch()
-	if sw.Elapsed() < 0 || sw.Minutes() < 0 {
-		t.Error("stopwatch went backwards")
 	}
 }
 

@@ -48,53 +48,6 @@ func (c Clause) Variables() map[string]bool {
 	return vars
 }
 
-// Constants returns the set of constant values in the clause.
-func (c Clause) Constants() map[string]bool {
-	consts := c.Head.Constants()
-	for _, l := range c.Body {
-		for v := range l.Constants() {
-			consts[v] = true
-		}
-	}
-	return consts
-}
-
-// RelationLiterals returns the body literals that are relation literals.
-func (c Clause) RelationLiterals() []Literal {
-	var out []Literal
-	for _, l := range c.Body {
-		if l.IsRelation() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// RepairLiterals returns the body repair literals.
-func (c Clause) RepairLiterals() []Literal {
-	var out []Literal
-	for _, l := range c.Body {
-		if l.IsRepair() {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// HasRepairLiterals reports whether the clause contains any repair literal.
-func (c Clause) HasRepairLiterals() bool {
-	for _, l := range c.Body {
-		if l.IsRepair() {
-			return true
-		}
-	}
-	return false
-}
-
-// IsRepaired reports whether the clause is a repaired clause, i.e. contains
-// no repair literals (Section 3.2).
-func (c Clause) IsRepaired() bool { return !c.HasRepairLiterals() }
-
 // Length returns the number of body literals.
 func (c Clause) Length() int { return len(c.Body) }
 
@@ -281,19 +234,6 @@ func (c Clause) DropDanglingAuxiliaries() Clause {
 				out.Body = append(out.Body, l.Clone())
 			}
 		}
-	}
-	return out
-}
-
-// RemoveBodyAt returns a copy of the clause with the body literal at index i
-// removed.
-func (c Clause) RemoveBodyAt(i int) Clause {
-	out := Clause{Head: c.Head.Clone(), Body: make([]Literal, 0, len(c.Body)-1)}
-	for j, l := range c.Body {
-		if j == i {
-			continue
-		}
-		out.Body = append(out.Body, l.Clone())
 	}
 	return out
 }

@@ -191,11 +191,6 @@ func (l Literal) IsRelation() bool { return l.Kind == RelationLit }
 // IsRepair reports whether l is a repair literal.
 func (l Literal) IsRepair() bool { return l.Kind == RepairLit }
 
-// IsRestriction reports whether l is a restriction literal (=, ≠ or ≈).
-func (l Literal) IsRestriction() bool {
-	return l.Kind == EqualityLit || l.Kind == InequalityLit || l.Kind == SimilarityLit
-}
-
 // Target returns the term a repair literal replaces (its first argument).
 func (l Literal) Target() Term { return l.Args[0] }
 
@@ -255,17 +250,6 @@ func (l Literal) Variables() map[string]bool {
 		}
 	}
 	return vars
-}
-
-// Constants returns the set of constant values appearing in the literal.
-func (l Literal) Constants() map[string]bool {
-	consts := make(map[string]bool)
-	for _, t := range l.AllTerms() {
-		if !t.Var {
-			consts[t.Name] = true
-		}
-	}
-	return consts
 }
 
 // Equal reports whether two literals are syntactically identical.

@@ -28,15 +28,7 @@ func TestTermConstructors(t *testing.T) {
 
 func TestSubstitutionApplyAndBind(t *testing.T) {
 	s := NewSubstitution()
-	if !s.Bind("x", Const("a")) {
-		t.Fatal("first bind must succeed")
-	}
-	if !s.Bind("x", Const("a")) {
-		t.Fatal("re-binding to same term must succeed")
-	}
-	if s.Bind("x", Const("b")) {
-		t.Fatal("conflicting bind must fail")
-	}
+	s["x"] = Const("a")
 	if got := s.Apply(Var("x")); got != Const("a") {
 		t.Errorf("apply bound var = %v", got)
 	}
@@ -57,18 +49,6 @@ func TestSubstitutionCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestSubstitutionCompose(t *testing.T) {
-	s := Substitution{"x": Var("y")}
-	u := Substitution{"y": Const("a"), "z": Const("b")}
-	got := s.Compose(u)
-	if got.Apply(Var("x")) != Const("a") {
-		t.Errorf("compose should map x to a, got %v", got.Apply(Var("x")))
-	}
-	if got.Apply(Var("z")) != Const("b") {
-		t.Errorf("compose should keep binding z/b, got %v", got.Apply(Var("z")))
-	}
-}
-
 func TestVarCounterFresh(t *testing.T) {
 	c := NewVarCounter("u")
 	a, b := c.Fresh(), c.Fresh()
@@ -85,12 +65,12 @@ func TestVarCounterFresh(t *testing.T) {
 
 func TestLiteralConstructorsAndAccessors(t *testing.T) {
 	r := Rel("movies", Var("y"), Var("t"), Var("z"))
-	if !r.IsRelation() || r.IsRepair() || r.IsRestriction() {
+	if !r.IsRelation() || r.IsRepair() {
 		t.Fatal("Rel should build a relation literal")
 	}
 	eq := Eq(Var("a"), Var("b"))
-	if !eq.IsRestriction() {
-		t.Fatal("Eq should be a restriction literal")
+	if eq.Kind != EqualityLit || eq.IsRelation() || eq.IsRepair() {
+		t.Fatal("Eq should be an equality restriction literal")
 	}
 	rep := Repair("md1", OriginMD, Var("x"), Var("vx"), Condition{Op: CondSim, L: Var("x"), R: Var("t")})
 	if !rep.IsRepair() {
@@ -126,8 +106,13 @@ func TestLiteralVariablesAndConstants(t *testing.T) {
 	if !vars["y"] || !vars["z"] || len(vars) != 2 {
 		t.Errorf("variables = %v", vars)
 	}
-	consts := l.Constants()
-	if !consts["Superbad"] || len(consts) != 1 {
+	var consts []string
+	for _, tm := range l.AllTerms() {
+		if tm.IsConst() {
+			consts = append(consts, tm.Name)
+		}
+	}
+	if len(consts) != 1 || consts[0] != "Superbad" {
 		t.Errorf("constants = %v", consts)
 	}
 }
@@ -235,18 +220,6 @@ func TestClauseConnectedRepairLiterals(t *testing.T) {
 	}
 	if c.ConnectedRepairLiterals(1) != nil {
 		t.Fatal("repair literal itself should return nil")
-	}
-}
-
-func TestClauseRemoveBodyAt(t *testing.T) {
-	c := NewClause(Rel("t", Var("x")),
-		Rel("a", Var("x")), Rel("b", Var("x")), Rel("c", Var("x")))
-	out := c.RemoveBodyAt(1)
-	if out.Length() != 2 || out.Body[0].Pred != "a" || out.Body[1].Pred != "c" {
-		t.Fatalf("RemoveBodyAt produced %v", out)
-	}
-	if c.Length() != 3 {
-		t.Fatal("RemoveBodyAt mutated the receiver")
 	}
 }
 

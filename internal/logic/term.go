@@ -79,32 +79,6 @@ func (s Substitution) Apply(t Term) Term {
 	return t
 }
 
-// Bind records that variable v maps to term t. It reports false if v is
-// already bound to a different term (the substitution is left unchanged in
-// that case).
-func (s Substitution) Bind(v string, t Term) bool {
-	if cur, ok := s[v]; ok {
-		return cur == t
-	}
-	s[v] = t
-	return true
-}
-
-// Compose returns the substitution s;u, i.e. first s then u applied to the
-// images of s, plus the bindings of u for variables unbound in s.
-func (s Substitution) Compose(u Substitution) Substitution {
-	out := make(Substitution, len(s)+len(u))
-	for k, v := range s {
-		out[k] = u.Apply(v)
-	}
-	for k, v := range u {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // String renders the substitution deterministically (sorted by variable).
 func (s Substitution) String() string {
 	keys := make([]string, 0, len(s))

@@ -105,19 +105,6 @@ func (in *Instance) Schema() *Schema { return in.schema }
 // concurrently with instance writes.
 func (in *Instance) Interner() *Interner { return in.intern }
 
-// validateInsert checks that the relation exists and the value count matches
-// its arity.
-func (in *Instance) validateInsert(rel string, values []string) (*Relation, error) {
-	r := in.schema.Relation(rel)
-	if r == nil {
-		return nil, fmt.Errorf("relation: insert into unknown relation %q", rel)
-	}
-	if len(values) != r.Arity() {
-		return nil, fmt.Errorf("relation: insert into %q: got %d values, want %d", rel, len(values), r.Arity())
-	}
-	return r, nil
-}
-
 // data returns the columnar storage of rel, creating it on first insert.
 func (in *Instance) data(rel string, arity int) *relData {
 	rd := in.rels[rel]
@@ -137,9 +124,12 @@ func (in *Instance) data(rel string, arity int) *relData {
 // Insert adds a tuple to the named relation. It returns an error when the
 // relation is unknown or the arity does not match the schema.
 func (in *Instance) Insert(rel string, values ...string) error {
-	r, err := in.validateInsert(rel, values)
-	if err != nil {
-		return err
+	r := in.schema.Relation(rel)
+	if r == nil {
+		return fmt.Errorf("relation: insert into unknown relation %q", rel)
+	}
+	if len(values) != r.Arity() {
+		return fmt.Errorf("relation: insert into %q: got %d values, want %d", rel, len(values), r.Arity())
 	}
 	rd := in.data(rel, r.Arity())
 	pos := rd.rows
@@ -157,65 +147,6 @@ func (in *Instance) MustInsert(rel string, values ...string) {
 	if err := in.Insert(rel, values...); err != nil {
 		panic(err)
 	}
-}
-
-// InsertUnique inserts the tuple only if an identical tuple is not already
-// present. It reports whether an insertion happened. The duplicate check
-// probes the per-attribute hash index (smallest candidate bucket) comparing
-// value IDs, so it stays fast even after value rewrites and never scans the
-// whole relation.
-func (in *Instance) InsertUnique(rel string, values ...string) (bool, error) {
-	// Validate before the duplicate probe: contains assumes the arity
-	// matches the index layout.
-	if _, err := in.validateInsert(rel, values); err != nil {
-		return false, err
-	}
-	if in.contains(rel, values) {
-		return false, nil
-	}
-	if err := in.Insert(rel, values...); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// contains reports whether an identical tuple exists, comparing only the
-// rows in the smallest per-attribute index bucket of the probe values.
-func (in *Instance) contains(rel string, values []string) bool {
-	rd := in.rels[rel]
-	if rd == nil {
-		return false
-	}
-	if len(values) == 0 {
-		// A zero-arity relation holds at most the empty tuple.
-		return rd.rows > 0
-	}
-	ids := make([]uint32, len(values))
-	var bucket []int
-	for a, v := range values {
-		id, ok := in.intern.Lookup(v)
-		if !ok {
-			return false
-		}
-		ids[a] = id
-		positions := rd.index[a][id]
-		if len(positions) == 0 {
-			return false
-		}
-		if bucket == nil || len(positions) < len(bucket) {
-			bucket = positions
-		}
-	}
-outer:
-	for _, p := range bucket {
-		for a, id := range ids {
-			if rd.cols[a][p] != id {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // TupleAt materializes the tuple at a row position of a relation. The
@@ -285,51 +216,6 @@ func (in *Instance) SelectPositions(rel string, attr int, value string) []int {
 		return nil
 	}
 	return rd.index[attr][id]
-}
-
-// Select returns the tuples of rel whose attribute at position attr equals
-// value, using the hash index.
-func (in *Instance) Select(rel string, attr int, value string) []Tuple {
-	positions := in.SelectPositions(rel, attr, value)
-	if len(positions) == 0 {
-		return nil
-	}
-	out := make([]Tuple, 0, len(positions))
-	for _, p := range positions {
-		out = append(out, in.TupleAt(rel, p))
-	}
-	return out
-}
-
-// SelectAny returns the tuples of rel that contain value in any attribute
-// whose domain is listed in domains (nil means any attribute).
-func (in *Instance) SelectAny(rel string, value string, domains map[string]bool) []Tuple {
-	r := in.schema.Relation(rel)
-	if r == nil {
-		return nil
-	}
-	rd := in.rels[rel]
-	if rd == nil {
-		return nil
-	}
-	id, ok := in.intern.Lookup(value)
-	if !ok {
-		return nil
-	}
-	seen := make(map[int]bool)
-	var out []Tuple
-	for a := 0; a < r.Arity(); a++ {
-		if domains != nil && !domains[r.Attrs[a].Domain] {
-			continue
-		}
-		for _, p := range rd.index[a][id] {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, in.TupleAt(rel, p))
-			}
-		}
-	}
-	return out
 }
 
 // DistinctValues returns the distinct values of an attribute, sorted.

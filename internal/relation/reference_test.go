@@ -54,88 +54,12 @@ func (in *boxedInstance) insert(rel string, values ...string) error {
 	return nil
 }
 
-func (in *boxedInstance) insertUnique(rel string, values ...string) (bool, error) {
-	r := in.schema.Relation(rel)
-	if r == nil || len(values) != r.Arity() {
-		_, err := NewInstance(in.schema).validateInsert(rel, values)
-		return false, err
-	}
-	if in.contains(rel, values) {
-		return false, nil
-	}
-	return true, in.insert(rel, values...)
-}
-
-func (in *boxedInstance) contains(rel string, values []string) bool {
-	if len(values) == 0 {
-		return len(in.tuples[rel]) > 0
-	}
-	idx := in.index[rel]
-	if idx == nil {
-		return false
-	}
-	var bucket []int
-	for a := range idx {
-		positions := idx[a][values[a]]
-		if len(positions) == 0 {
-			return false
-		}
-		if bucket == nil || len(positions) < len(bucket) {
-			bucket = positions
-		}
-	}
-	ts := in.tuples[rel]
-outer:
-	for _, p := range bucket {
-		for i, v := range ts[p].Values {
-			if v != values[i] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-func (in *boxedInstance) selectEq(rel string, attr int, value string) []Tuple {
+func (in *boxedInstance) selectPositions(rel string, attr int, value string) []int {
 	idx := in.index[rel]
 	if idx == nil || attr < 0 || attr >= len(idx) {
 		return nil
 	}
-	positions := idx[attr][value]
-	if len(positions) == 0 {
-		return nil
-	}
-	out := make([]Tuple, 0, len(positions))
-	for _, p := range positions {
-		out = append(out, in.tuples[rel][p])
-	}
-	return out
-}
-
-func (in *boxedInstance) selectAny(rel string, value string, domains map[string]bool) []Tuple {
-	r := in.schema.Relation(rel)
-	if r == nil {
-		return nil
-	}
-	idx := in.index[rel]
-	if idx == nil {
-		return nil
-	}
-	seen := make(map[int]bool)
-	var out []Tuple
-	for a := 0; a < r.Arity(); a++ {
-		if domains != nil && !domains[r.Attrs[a].Domain] {
-			continue
-		}
-		for _, p := range idx[a][value] {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, in.tuples[rel][p])
-			}
-		}
-	}
-	return out
+	return idx[attr][value]
 }
 
 func (in *boxedInstance) distinctValues(rel string, attr int) []string {
@@ -233,7 +157,7 @@ func TestTupleKeyAdversarialSeparators(t *testing.T) {
 }
 
 // fuzzSchema is the differential-testing schema: a binary and a unary
-// relation over overlapping domains, so SelectAny domain filters matter.
+// relation over overlapping domains, so both share interned values.
 func fuzzSchema() *Schema {
 	s := NewSchema()
 	s.MustAdd(NewRelation("r", Attr("a", "d1"), Attr("b", "d2")))
@@ -252,8 +176,8 @@ func fuzzVal(b byte) string { return fuzzValues[int(b)%len(fuzzValues)] }
 
 // assertParity compares the complete observable state of the interned
 // instance against the boxed reference: tuple lists (content and order),
-// per-attribute index answers for every pool value (content and order),
-// distinct values, duplicate probes, and counts.
+// per-attribute σ answers for every pool value (positions in order, and the
+// tuples TupleAt materializes at them), distinct values, and counts.
 func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 	t.Helper()
 	for _, rel := range []string{"r", "s"} {
@@ -272,13 +196,16 @@ func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 		arity := in.Schema().Relation(rel).Arity()
 		for attr := 0; attr < arity; attr++ {
 			for _, v := range fuzzValues {
-				g, w := in.Select(rel, attr, v), ref.selectEq(rel, attr, v)
+				g, w := in.SelectPositions(rel, attr, v), ref.selectPositions(rel, attr, v)
 				if len(g) != len(w) {
-					t.Fatalf("%s.Select(%d, %q): %d vs %d tuples", rel, attr, v, len(g), len(w))
+					t.Fatalf("%s.SelectPositions(%d, %q): %v vs %v", rel, attr, v, g, w)
 				}
 				for i := range w {
-					if !g[i].Equal(w[i]) {
-						t.Fatalf("%s.Select(%d, %q)[%d] = %v, want %v", rel, attr, v, i, g[i], w[i])
+					if g[i] != w[i] {
+						t.Fatalf("%s.SelectPositions(%d, %q) = %v, want %v", rel, attr, v, g, w)
+					}
+					if tp := in.TupleAt(rel, g[i]); !tp.Equal(ref.tuples[rel][w[i]]) {
+						t.Fatalf("%s.TupleAt(%d) = %v, want %v", rel, g[i], tp, ref.tuples[rel][w[i]])
 					}
 				}
 			}
@@ -292,30 +219,17 @@ func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 				}
 			}
 		}
-		for _, v := range fuzzValues {
-			for _, domains := range []map[string]bool{nil, {"d1": true}, {"d2": true}} {
-				g, w := in.SelectAny(rel, v, domains), ref.selectAny(rel, v, domains)
-				if len(g) != len(w) {
-					t.Fatalf("%s.SelectAny(%q, %v): %d vs %d tuples", rel, v, domains, len(g), len(w))
-				}
-				for i := range w {
-					if !g[i].Equal(w[i]) {
-						t.Fatalf("%s.SelectAny(%q, %v)[%d] = %v, want %v", rel, v, domains, i, g[i], w[i])
-					}
-				}
-			}
-		}
 	}
 	if in.TotalTuples() != len(ref.tuples["r"])+len(ref.tuples["s"]) {
 		t.Fatalf("TotalTuples = %d, reference has %d", in.TotalTuples(), len(ref.tuples["r"])+len(ref.tuples["s"]))
 	}
 }
 
-// FuzzInstanceParity drives random insert/insert-unique/rewrite sequences
-// through the interned columnar Instance and the boxed reference in
-// lockstep, asserting identical answers after every step and identical full
-// state at the end. Every mutation result (insert errors, unique-probe
-// outcomes, rewrite counts) must match too.
+// FuzzInstanceParity drives random insert/rewrite/clone sequences through
+// the interned columnar Instance and the boxed reference in lockstep,
+// asserting identical answers after every step and identical full state at
+// the end. Every mutation result (insert errors, rewrite counts) must match
+// too.
 func FuzzInstanceParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -339,11 +253,11 @@ func FuzzInstanceParity(f *testing.F) {
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("Insert s: err %v vs %v", err1, err2)
 				}
-			case 2: // unique insert into r
-				ok1, err1 := in.InsertUnique("r", fuzzVal(x), fuzzVal(y))
-				ok2, err2 := ref.insertUnique("r", fuzzVal(x), fuzzVal(y))
-				if ok1 != ok2 || (err1 == nil) != (err2 == nil) {
-					t.Fatalf("InsertUnique r: (%v, %v) vs (%v, %v)", ok1, err1, ok2, err2)
+			case 2: // replace a value in s
+				n1 := in.ReplaceValue("s", 0, fuzzVal(x), fuzzVal(y))
+				n2 := ref.replaceValue("s", 0, fuzzVal(x), fuzzVal(y))
+				if n1 != n2 {
+					t.Fatalf("ReplaceValue s %q->%q: %d vs %d", fuzzVal(x), fuzzVal(y), n1, n2)
 				}
 			case 3: // replace a value in r
 				attr := int(z) % 2
@@ -391,8 +305,9 @@ func TestInstanceParityReplay(t *testing.T) {
 				_ = in.Insert("s", fuzzVal(x))
 				_ = ref.insert("s", fuzzVal(x))
 			case 2:
-				_, _ = in.InsertUnique("r", fuzzVal(x), fuzzVal(y))
-				_, _ = ref.insertUnique("r", fuzzVal(x), fuzzVal(y))
+				if in.ReplaceValue("s", 0, fuzzVal(x), fuzzVal(y)) != ref.replaceValue("s", 0, fuzzVal(x), fuzzVal(y)) {
+					t.Fatalf("program %d step %d: ReplaceValue s diverged", i, j)
+				}
 			case 3:
 				attr := int(z) % 2
 				if in.ReplaceValue("r", attr, fuzzVal(x), fuzzVal(y)) != ref.replaceValue("r", attr, fuzzVal(x), fuzzVal(y)) {

@@ -38,20 +38,6 @@ func TestSchemaAddAndLookup(t *testing.T) {
 	}
 }
 
-func TestSchemaComparableAttributes(t *testing.T) {
-	s := movieSchema()
-	refs := s.ComparableAttributes("imdb_id")
-	if len(refs) != 2 {
-		t.Fatalf("expected 2 comparable attrs in domain imdb_id, got %v", refs)
-	}
-	if refs[0].Relation != "mov2genres" || refs[1].Relation != "movies" {
-		t.Fatalf("refs should be sorted by relation: %v", refs)
-	}
-	if len(s.ComparableAttributes("nope")) != 0 {
-		t.Fatal("unknown domain should yield nothing")
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	r := NewRelation("movies", Attr("id", "d"), Attr("title", "d2"))
 	if got := r.String(); got != "movies(id, title)" {
@@ -69,15 +55,18 @@ func TestInstanceInsertAndSelect(t *testing.T) {
 	if in.Count("movies") != 2 || in.TotalTuples() != 4 {
 		t.Fatalf("counts wrong: %d %d", in.Count("movies"), in.TotalTuples())
 	}
-	got := in.Select("mov2genres", 1, "comedy")
-	if len(got) != 2 {
-		t.Fatalf("Select comedy should return 2 tuples, got %d", len(got))
+	got := in.SelectPositions("mov2genres", 1, "comedy")
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("SelectPositions comedy = %v, want [0 1]", got)
 	}
-	if len(in.Select("movies", 0, "m3")) != 0 {
-		t.Fatal("Select miss should return nothing")
+	if tp := in.TupleAt("mov2genres", got[1]); !tp.Equal(NewTuple("mov2genres", "m2", "comedy")) {
+		t.Fatalf("TupleAt(%d) = %v", got[1], tp)
 	}
-	if len(in.Select("movies", 9, "m1")) != 0 {
-		t.Fatal("Select with bad attribute index should return nothing")
+	if len(in.SelectPositions("movies", 0, "m3")) != 0 {
+		t.Fatal("SelectPositions miss should return nothing")
+	}
+	if len(in.SelectPositions("movies", 9, "m1")) != 0 {
+		t.Fatal("SelectPositions with bad attribute index should return nothing")
 	}
 }
 
@@ -88,88 +77,6 @@ func TestInstanceInsertErrors(t *testing.T) {
 	}
 	if err := in.Insert("movies", "only-one"); err == nil {
 		t.Fatal("arity mismatch must fail")
-	}
-}
-
-func TestInstanceInsertUnique(t *testing.T) {
-	in := NewInstance(movieSchema())
-	ok, err := in.InsertUnique("mov2genres", "m1", "comedy")
-	if err != nil || !ok {
-		t.Fatalf("first InsertUnique failed: %v %v", ok, err)
-	}
-	ok, err = in.InsertUnique("mov2genres", "m1", "comedy")
-	if err != nil || ok {
-		t.Fatalf("duplicate InsertUnique should be a no-op: %v %v", ok, err)
-	}
-	if in.Count("mov2genres") != 1 {
-		t.Fatalf("count = %d, want 1", in.Count("mov2genres"))
-	}
-}
-
-func TestInstanceInsertUniqueNearDuplicates(t *testing.T) {
-	in := NewInstance(movieSchema())
-	// Near-duplicates: tuples sharing every attribute but one must all be
-	// inserted (the index probe must compare whole tuples, not one column).
-	base := []string{"m1", "Superbad (2007)", "2007"}
-	variants := [][]string{
-		{"m2", "Superbad (2007)", "2007"}, // same title and year
-		{"m1", "Superbad", "2007"},        // same id and year
-		{"m1", "Superbad (2007)", "2008"}, // same id and title
-	}
-	if ok, err := in.InsertUnique("movies", base...); err != nil || !ok {
-		t.Fatalf("base insert failed: %v %v", ok, err)
-	}
-	for _, v := range variants {
-		if ok, err := in.InsertUnique("movies", v...); err != nil || !ok {
-			t.Fatalf("near-duplicate %v should insert: %v %v", v, ok, err)
-		}
-	}
-	if in.Count("movies") != 4 {
-		t.Fatalf("count = %d, want 4", in.Count("movies"))
-	}
-	for _, v := range append([][]string{base}, variants...) {
-		if ok, err := in.InsertUnique("movies", v...); err != nil || ok {
-			t.Fatalf("exact duplicate %v should be a no-op: %v %v", v, ok, err)
-		}
-	}
-	if in.Count("movies") != 4 {
-		t.Fatalf("count after duplicate inserts = %d, want 4", in.Count("movies"))
-	}
-}
-
-func TestInstanceInsertUniqueErrorsAndRewrites(t *testing.T) {
-	in := NewInstance(movieSchema())
-	if _, err := in.InsertUnique("nope", "a"); err == nil {
-		t.Fatal("InsertUnique into unknown relation must fail")
-	}
-	if _, err := in.InsertUnique("movies", "only-one"); err == nil {
-		t.Fatal("InsertUnique arity mismatch must fail")
-	}
-	// After a value rewrite the index-backed duplicate check must see the
-	// new values, not the originals.
-	in.MustInsert("movies", "m1", "Superbad (2007)", "2007")
-	in.ReplaceValue("movies", 1, "Superbad (2007)", "Superbad")
-	if ok, _ := in.InsertUnique("movies", "m1", "Superbad", "2007"); ok {
-		t.Fatal("rewritten tuple should be detected as a duplicate")
-	}
-	if ok, _ := in.InsertUnique("movies", "m1", "Superbad (2007)", "2007"); !ok {
-		t.Fatal("the pre-rewrite tuple no longer exists and should insert")
-	}
-}
-
-func TestInstanceSelectAnyWithDomains(t *testing.T) {
-	in := NewInstance(movieSchema())
-	in.MustInsert("movies", "m1", "m1", "2007") // title equals an id on purpose
-	got := in.SelectAny("movies", "m1", map[string]bool{"imdb_id": true})
-	if len(got) != 1 {
-		t.Fatalf("SelectAny restricted to imdb_id should find the tuple once, got %d", len(got))
-	}
-	got = in.SelectAny("movies", "m1", nil)
-	if len(got) != 1 {
-		t.Fatalf("SelectAny with nil domains should dedup to 1 tuple, got %d", len(got))
-	}
-	if len(in.SelectAny("unknown", "x", nil)) != 0 {
-		t.Fatal("SelectAny on unknown relation should return nothing")
 	}
 }
 
@@ -206,10 +113,10 @@ func TestInstanceReplaceValue(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("ReplaceValue should rewrite 2 fields, got %d", n)
 	}
-	if len(in.Select("movies", 1, "Bait")) != 0 {
+	if len(in.SelectPositions("movies", 1, "Bait")) != 0 {
 		t.Fatal("old value still indexed")
 	}
-	if len(in.Select("movies", 1, "Bait (fixed)")) != 2 {
+	if len(in.SelectPositions("movies", 1, "Bait (fixed)")) != 2 {
 		t.Fatal("new value not indexed")
 	}
 	if in.ReplaceValue("movies", 1, "missing", "x") != 0 {
@@ -229,7 +136,7 @@ func TestInstanceSetValueAt(t *testing.T) {
 	if in.Tuples("movies")[0].Values[2] != "2008" {
 		t.Fatal("SetValueAt did not update the tuple")
 	}
-	if len(in.Select("movies", 2, "2007")) != 0 || len(in.Select("movies", 2, "2008")) != 1 {
+	if len(in.SelectPositions("movies", 2, "2007")) != 0 || len(in.SelectPositions("movies", 2, "2008")) != 1 {
 		t.Fatal("SetValueAt did not maintain the index")
 	}
 	if err := in.SetValueAt("movies", 5, 0, "x"); err == nil {
@@ -276,8 +183,8 @@ func TestInstanceStatsAndString(t *testing.T) {
 	}
 }
 
-// Property: after inserting any set of genre rows, Select by value returns
-// exactly the tuples whose attribute equals the value.
+// Property: after inserting any set of genre rows, SelectPositions by value
+// returns exactly the positions whose attribute equals the value.
 func TestPropertySelectMatchesLinearScan(t *testing.T) {
 	f := func(vals []uint8) bool {
 		in := NewInstance(movieSchema())
@@ -292,7 +199,7 @@ func TestPropertySelectMatchesLinearScan(t *testing.T) {
 					want++
 				}
 			}
-			if len(in.Select("mov2genres", 1, g)) != want {
+			if len(in.SelectPositions("mov2genres", 1, g)) != want {
 				return false
 			}
 		}

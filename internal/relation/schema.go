@@ -7,7 +7,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Type is the data type of an attribute.
@@ -169,28 +168,6 @@ func (s *Schema) Relations() []*Relation {
 
 // Len returns the number of relations in the schema.
 func (s *Schema) Len() int { return len(s.order) }
-
-// ComparableAttributes returns, for a given domain, every (relation,
-// attribute index) pair whose attribute belongs to that domain, sorted by
-// relation name for determinism.
-func (s *Schema) ComparableAttributes(domain string) []AttrRef {
-	var out []AttrRef
-	for _, name := range s.order {
-		r := s.rels[name]
-		for i, a := range r.Attrs {
-			if a.Domain == domain {
-				out = append(out, AttrRef{Relation: name, Attr: i})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Relation != out[j].Relation {
-			return out[i].Relation < out[j].Relation
-		}
-		return out[i].Attr < out[j].Attr
-	})
-	return out
-}
 
 // AttrRef identifies an attribute by relation name and position.
 type AttrRef struct {

@@ -1,11 +1,16 @@
-// Package repair implements the two repair mechanisms of the paper:
+// Package repair implements the repair mechanisms of the paper:
 //
-//   - instance-level repairs — enforcing matching dependencies to produce
-//     stable instances (Definition 2.2) and repairing CFD violations by
-//     minimal value modification (Section 2.3); and
 //   - clause-level repairs — converting a clause with repair literals into
 //     its set of repaired clauses by iteratively applying repair groups
-//     (Section 3.2).
+//     (Section 3.2), which is how learning reasons over the repairs without
+//     materializing them; and
+//   - the instance-level rewrites the baselines clean the data with:
+//     repairing CFD violations by minimal value modification (Section 2.3)
+//     and resolving MD matches to their best match (Castor-Clean).
+//
+// Enumerating the stable instances of MDs (Definition 2.2) is left to a
+// test-only oracle in stable_test.go; no production path materializes
+// repairs.
 //
 // Repair literals are grouped into repair operations (logic.Literal.Group):
 // the two literals V(x,vx), V(t,vt) of one MD match form a single group and
@@ -429,29 +434,4 @@ func RepairedClausesContext(ctx context.Context, c logic.Clause, opts Options) [
 		out = append(out, results[k])
 	}
 	return out
-}
-
-// RepairedDefinitions expands every clause of a definition into its repaired
-// clauses. The result groups the repaired clauses per original clause; a
-// repaired definition (Section 3.2) picks exactly one element from each
-// group.
-func RepairedDefinitions(d *logic.Definition, opts Options) [][]logic.Clause {
-	out := make([][]logic.Clause, 0, len(d.Clauses))
-	for _, c := range d.Clauses {
-		out = append(out, RepairedClausesContext(context.Background(), c, opts))
-	}
-	return out
-}
-
-// CountRepairedDefinitions returns the number of repaired definitions the
-// definition represents (the product of per-clause repaired-clause counts).
-func CountRepairedDefinitions(d *logic.Definition, opts Options) int {
-	if len(d.Clauses) == 0 {
-		return 0
-	}
-	total := 1
-	for _, rc := range RepairedDefinitions(d, opts) {
-		total *= len(rc)
-	}
-	return total
 }

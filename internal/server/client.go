@@ -225,16 +225,11 @@ func (c *Client) Stats(ctx context.Context) (wire.Stats, error) {
 	return st, err
 }
 
-// Stream follows a job's SSE stream from the beginning, invoking fn per
-// event until the stream ends (the server closes it after the terminal
-// event) or fn errors.
-func (c *Client) Stream(ctx context.Context, id string, fn func(SSEEvent) error) error {
-	return c.StreamFrom(ctx, id, "", fn)
-}
-
-// StreamFrom follows a job's SSE stream, resuming after lastEventID when
-// non-empty (sent as the Last-Event-ID header, so the server replays only
-// what this client has not yet seen).
+// StreamFrom follows a job's SSE stream, invoking fn per event until the
+// stream ends (the server closes it after the terminal event) or fn errors.
+// A non-empty lastEventID resumes after that event (sent as the
+// Last-Event-ID header, so the server replays only what this client has not
+// yet seen); an empty one reads the stream from the beginning.
 func (c *Client) StreamFrom(ctx context.Context, id, lastEventID string, fn func(SSEEvent) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {

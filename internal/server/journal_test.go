@@ -557,7 +557,7 @@ func TestJournalTerminalRecordBeforeClientSees(t *testing.T) {
 			t.Fatal(err)
 		}
 		close(g.release)
-		if err := client.Stream(context.Background(), running.ID, func(SSEEvent) error { return nil }); err != nil {
+		if err := client.StreamFrom(context.Background(), running.ID, "", func(SSEEvent) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if rec := readJobRecord(t, dir, running.ID); rec.State != wire.StateCancelled {

@@ -187,7 +187,7 @@ func TestSSEStreamReplaysAndTerminates(t *testing.T) {
 
 	var names []string
 	var last SSEEvent
-	if err := client.Stream(context.Background(), acc.ID, func(ev SSEEvent) error {
+	if err := client.StreamFrom(context.Background(), acc.ID, "", func(ev SSEEvent) error {
 		names = append(names, ev.Name)
 		last = ev
 		if ev.Name != wire.EventResult && ev.Name != wire.EventError {
@@ -324,7 +324,7 @@ func TestCancelRunningJob(t *testing.T) {
 	waitFor(t, "cancellation", func() bool { return j.State() == wire.StateCancelled })
 
 	var last SSEEvent
-	if err := client.Stream(context.Background(), acc.ID, func(ev SSEEvent) error {
+	if err := client.StreamFrom(context.Background(), acc.ID, "", func(ev SSEEvent) error {
 		last = ev
 		return nil
 	}); err != nil {

@@ -281,41 +281,3 @@ func BruteForceTopK(probe string, values []string, sim Func, threshold float64, 
 	}
 	return scored
 }
-
-// PairCache memoizes similarity decisions between values so repeated
-// coverage tests do not recompute alignments. It is not safe for concurrent
-// writers; the coverage engine builds per-worker caches.
-type PairCache struct {
-	sim       Func
-	threshold float64
-	cache     map[[2]string]float64
-}
-
-// NewPairCache returns an empty cache around the given similarity function.
-func NewPairCache(sim Func, threshold float64) *PairCache {
-	return &PairCache{sim: sim, threshold: threshold, cache: make(map[[2]string]float64)}
-}
-
-// Score returns the (possibly cached) similarity of a and b. The cache is
-// symmetric.
-func (c *PairCache) Score(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	key := [2]string{a, b}
-	if a > b {
-		key = [2]string{b, a}
-	}
-	if s, ok := c.cache[key]; ok {
-		return s
-	}
-	s := c.sim(a, b)
-	c.cache[key] = s
-	return s
-}
-
-// Similar reports whether a and b meet the threshold.
-func (c *PairCache) Similar(a, b string) bool { return c.Score(a, b) >= c.threshold }
-
-// Size returns the number of cached pairs.
-func (c *PairCache) Size() int { return len(c.cache) }

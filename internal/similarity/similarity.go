@@ -143,9 +143,6 @@ func Combined(opts Options) Func {
 	}
 }
 
-// Default is the combined operator with DefaultOptions.
-func Default() Func { return Combined(DefaultOptions()) }
-
 // Tokenize splits a string into lowercase alphanumeric tokens. It is used
 // for blocking in the similarity join: two values are only compared when
 // they share at least one token.

@@ -62,7 +62,7 @@ func TestLength(t *testing.T) {
 }
 
 func TestCombinedOrdersTitlesSensibly(t *testing.T) {
-	sim := Default()
+	sim := Combined(DefaultOptions())
 	right := sim("Star Wars", "Star Wars: Episode IV - 1977")
 	wrong := sim("Star Wars", "The Orphanage (2007)")
 	if right <= wrong {
@@ -156,7 +156,7 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 		"Superbad (2007)", "Zoolander (2001)", "The Orphanage (2007)",
 		"star wars", "Jurassic Park", "Park Jurassic III",
 	}
-	sim := Default()
+	sim := Combined(DefaultOptions())
 	idx := NewIndex(values, DefaultOptions(), 0.45)
 	probes := []string{"Star Wars", "Superbad", "Jurassic Park III", "Orphanage"}
 	for _, p := range probes {
@@ -215,32 +215,10 @@ func TestIndexTopKUnboundedScheme(t *testing.T) {
 	}
 }
 
-func TestPairCache(t *testing.T) {
-	calls := 0
-	counting := func(a, b string) float64 {
-		calls++
-		return Default()(a, b)
-	}
-	c := NewPairCache(counting, 0.6)
-	if !c.Similar("Superbad", "Superbad (2007)") {
-		t.Fatal("expected similar")
-	}
-	_ = c.Similar("Superbad (2007)", "Superbad") // symmetric: should hit cache
-	if calls != 1 {
-		t.Errorf("expected 1 underlying call, got %d", calls)
-	}
-	if c.Score("same", "same") != 1 {
-		t.Error("identical values should score 1 without calling the function")
-	}
-	if c.Size() != 1 {
-		t.Errorf("cache size = %d, want 1", c.Size())
-	}
-}
-
 // Property: both component similarities and the combined operator stay in
 // [0, 1] and are symmetric.
 func TestPropertySimilarityRangeAndSymmetry(t *testing.T) {
-	sim := Default()
+	sim := Combined(DefaultOptions())
 	opts := DefaultOptions()
 	f := func(a, b string) bool {
 		if len(a) > 64 {
@@ -262,7 +240,7 @@ func TestPropertySimilarityRangeAndSymmetry(t *testing.T) {
 
 // Property: identity always scores 1 under the combined operator.
 func TestPropertyIdentityScoresOne(t *testing.T) {
-	sim := Default()
+	sim := Combined(DefaultOptions())
 	f := func(a string) bool {
 		if len(a) > 64 {
 			a = a[:64]

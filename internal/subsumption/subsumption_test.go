@@ -2,6 +2,7 @@ package subsumption
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -351,7 +352,9 @@ func TestPropertyDroppingLiteralsGeneralizes(t *testing.T) {
 	)
 	f := func(dropRaw uint8) bool {
 		drop := int(dropRaw) % base.Length()
-		shorter := base.RemoveBodyAt(drop).PruneUnconnected()
+		shorter := base.Clone()
+		shorter.Body = slices.Delete(shorter.Body, drop, drop+1)
+		shorter = shorter.PruneUnconnected()
 		ok, _ := subsumes(ch, shorter, base)
 		return ok
 	}

@@ -76,8 +76,8 @@ func WithGeneralizationSample(n int) Option {
 }
 
 // WithNegativeSearchSample caps how many negative examples score candidates
-// during hill climbing (the acceptance test always uses all of them). Zero
-// means all negatives.
+// during hill climbing: the first n in example order, not a random sample
+// (the acceptance test always uses all of them). Zero means all negatives.
 func WithNegativeSearchSample(n int) Option {
 	return func(e *Engine) { e.cfg.NegativeSearchSample = n }
 }
