@@ -191,7 +191,7 @@ func BenchmarkAblationRepairExpansion(b *testing.B) {
 	clause := cfdAndMDClause()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := repair.RepairedClausesContext(context.Background(), clause, repair.Options{})
+		out, _ := repair.RepairedClausesContext(context.Background(), clause, repair.Options{})
 		if len(out) == 0 {
 			b.Fatal("no repaired clauses")
 		}

@@ -326,6 +326,43 @@ func TestEngineReportsExhaustedProbes(t *testing.T) {
 	t.Logf("default budget: %d exhausted probes", want)
 }
 
+// TestEngineReportsTruncatedExpansions pins the truncated-expansion count
+// on the report and on RunFinished: a one-state repair budget cuts the
+// expansions that branch, the default budget cuts none of the golden run's,
+// and counting changes no learned definition, whatever the thread count and
+// candidate parallelism.
+func TestEngineReportsTruncatedExpansions(t *testing.T) {
+	p := buildTinyProblemFluent(t)
+	base := append(tinyEngineOptions(), dlearn.WithSeed(7))
+	var finished dlearn.RunFinished
+	obs := dlearn.ObserverFunc(func(e dlearn.Event) {
+		if ev, ok := e.(dlearn.RunFinished); ok {
+			finished = ev
+		}
+	})
+	_, report, err := dlearn.New(append(base, dlearn.WithRepairBudget(0, 1), dlearn.WithObserver(obs))...).Learn(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TruncatedExpansions <= 0 || finished.TruncatedExpansions != report.TruncatedExpansions {
+		t.Errorf("a one-state repair budget reported %d truncated expansions (RunFinished: %d), want the same count > 0",
+			report.TruncatedExpansions, finished.TruncatedExpansions)
+	}
+	for _, cfg := range []struct{ threads, candPar int }{{1, 1}, {4, 4}} {
+		def, report, err := dlearn.New(append(base,
+			dlearn.WithThreads(cfg.threads),
+			dlearn.WithCandidateParallelism(cfg.candPar))...).
+			Learn(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.String() != tinyGoldenDefinition || report.TruncatedExpansions != 0 {
+			t.Errorf("threads=%d candidateParallelism=%d: %d truncated expansions, golden definition %v; want 0 and true",
+				cfg.threads, cfg.candPar, report.TruncatedExpansions, def.String() == tinyGoldenDefinition)
+		}
+	}
+}
+
 // moviesGoldenDefinition is the definition learned from the generated
 // IMDB+OMDB dataset below, captured before the interned columnar data layer
 // replaced the boxed one. The two clauses are joined by "\n" exactly as
@@ -416,7 +453,8 @@ func TestEngineObserverEventStream(t *testing.T) {
 			accepted++
 		case dlearn.RunFinished:
 			finished = true
-			if ev.Clauses != def.Len() || ev.UncoveredPositives != report.UncoveredPositives {
+			if ev.Clauses != def.Len() || ev.UncoveredPositives != report.UncoveredPositives ||
+				ev.ExhaustedProbes != report.ExhaustedProbes || ev.TruncatedExpansions != report.TruncatedExpansions {
 				t.Errorf("RunFinished %+v disagrees with report %+v", ev, report)
 			}
 		}

@@ -247,7 +247,8 @@ func TestBottomClauseCFDRepairLiterals(t *testing.T) {
 	// Expanding the bottom clause must produce only CFD-repaired variants:
 	// no repaired clause may keep two mov2locale literals that agree on the
 	// (unsplit) title variable but disagree on country.
-	for _, rc := range repair.RepairedClausesContext(context.Background(), c, repair.Options{}) {
+	repaired, _ := repair.RepairedClausesContext(context.Background(), c, repair.Options{})
+	for _, rc := range repaired {
 		for _, l := range rc.Body {
 			if l.IsRepair() {
 				t.Fatalf("unrepaired clause returned: %v", rc)

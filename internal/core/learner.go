@@ -221,6 +221,12 @@ type Report struct {
 	// node budget (Config.Subsumption.MaxNodes): each answered "does not
 	// subsume" conservatively, which may have changed a coverage count.
 	ExhaustedProbes int64
+	// TruncatedExpansions counts the run's repaired-clause expansions that
+	// the repair budget (Config.Repair.MaxStates or MaxClauses) cut short:
+	// each left a coverage test an incomplete set of repaired clauses.
+	// Examples loaded from the snapshot store are not expanded again and
+	// count nothing, so a warm start counts only candidate expansions.
+	TruncatedExpansions int64
 }
 
 // Learner runs DLearn (or, with the appropriate configuration, one of the
@@ -511,14 +517,18 @@ func (l *Learner) LearnContext(ctx context.Context, p Problem) (*logic.Definitio
 	}
 
 	report.UncoveredPositives = uncovered.Count()
-	report.ExhaustedProbes = eval.PlanSnapshot().Exhausted
+	plans := eval.PlanSnapshot()
+	report.ExhaustedProbes = plans.Exhausted
+	report.TruncatedExpansions = plans.Truncated
 	report.Duration = time.Since(start)
 	l.obs.Observe(observe.PhaseDone{Phase: observe.PhaseCovering, Duration: time.Since(coveringStart)})
 	l.obs.Observe(observe.RunFinished{
-		Clauses:            def.Len(),
-		ClausesConsidered:  report.ClausesConsidered,
-		UncoveredPositives: report.UncoveredPositives,
-		Duration:           report.Duration,
+		Clauses:             def.Len(),
+		ClausesConsidered:   report.ClausesConsidered,
+		UncoveredPositives:  report.UncoveredPositives,
+		ExhaustedProbes:     report.ExhaustedProbes,
+		TruncatedExpansions: report.TruncatedExpansions,
+		Duration:            report.Duration,
 	})
 	return def, report, nil
 }

@@ -9,6 +9,7 @@
 package coverage
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 
@@ -58,6 +59,9 @@ type Evaluator struct {
 	planPlanned   atomic.Int64
 	planNodes     atomic.Int64
 	planExhausted atomic.Int64
+	// planTruncated counts repaired-clause expansions that a repair cap
+	// (or cancellation) cut short.
+	planTruncated atomic.Int64
 
 	probes *shardedCache[*probe]
 }
@@ -88,6 +92,16 @@ func (e *Evaluator) probeFor(c logic.Clause) *probe {
 	return e.probes.getOrCompute(c.Key(), func() *probe { return e.newProbe(c) })
 }
 
+// expand returns the repaired clauses of c under opts, counting the
+// expansion if a cap cut it.
+func (e *Evaluator) expand(ctx context.Context, c logic.Clause, opts repair.Options) []logic.Clause {
+	out, cut := repair.RepairedClausesContext(ctx, c, opts)
+	if cut {
+		e.planTruncated.Add(1)
+	}
+	return out
+}
+
 // clauseHasCFDRepairs reports whether any repair literal of the clause comes
 // from a CFD.
 func clauseHasCFDRepairs(c logic.Clause) bool {
@@ -110,11 +124,8 @@ func stripCFDConnected(c logic.Clause) logic.Clause {
 			dropLit[i] = true
 		}
 	}
-	for i, l := range c.Body {
-		if !l.IsRelation() {
-			continue
-		}
-		for _, ri := range c.ConnectedRepairLiterals(i) {
+	for i, reps := range c.RepairConnectivity() {
+		for _, ri := range reps {
 			if c.Body[ri].Origin == logic.OriginCFD {
 				dropLit[i] = true
 				break

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dlearn/internal/logic"
-	"dlearn/internal/repair"
 	"dlearn/internal/subsumption"
 )
 
@@ -48,7 +47,7 @@ func (ex *Example) cfdSide(ctx context.Context) (*subsumption.Prepared, []*subsu
 func (e *Evaluator) NewExample(ctx context.Context, ground logic.Clause) *Example {
 	ex := e.newPositiveExample(ground)
 	ex.cfdSide(ctx)
-	for _, c := range repair.RepairedClausesContext(ctx, ground, e.repOpts) {
+	for _, c := range e.expand(ctx, ground, e.repOpts) {
 		ex.repaired = append(ex.repaired, e.checker.Prepare(c))
 	}
 	return ex
@@ -73,7 +72,7 @@ func (e *Evaluator) prepareCFD(ctx context.Context, ex *Example) {
 	ex.stripped = e.checker.Prepare(stripCFDConnected(ex.Ground))
 	cfdOpts := e.repOpts
 	cfdOpts.Origin = logic.OriginCFD
-	for _, c := range repair.RepairedClausesContext(ctx, ex.Ground, cfdOpts) {
+	for _, c := range e.expand(ctx, ex.Ground, cfdOpts) {
 		ex.cfdExp = append(ex.cfdExp, e.checker.Prepare(c))
 	}
 }

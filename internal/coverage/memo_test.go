@@ -109,11 +109,41 @@ func TestCancelledExpansionIsRecomputed(t *testing.T) {
 
 	opts := e.repOpts
 	opts.Origin = logic.OriginCFD
-	want := len(repair.RepairedClausesContext(context.Background(), c, opts))
+	repaired, _ := repair.RepairedClausesContext(context.Background(), c, opts)
+	want := len(repaired)
 	if want == 0 {
 		t.Fatal("the CFD-leg clause has no CFD expansion")
 	}
 	if got := len(e.probeFor(c).cfdCands(context.Background())); got != want || !p.cfdResolved {
 		t.Fatalf("recomputed expansion has %d clauses (resolved=%v), want %d", got, p.cfdResolved, want)
+	}
+}
+
+// TestMemoSeparatesVarFromConst pins the probe memo's key: t(x) <- r(x, g)
+// with g a variable covers the ground clause t(a) <- r(a, h), and the same
+// clause with the constant "g" does not. Both render as "r(x, g)", and the
+// memo used to be keyed by that rendering, so once the first clause had been
+// scored the second was handed its probe and covered the example too.
+func TestMemoSeparatesVarFromConst(t *testing.T) {
+	ctx := context.Background()
+	x, a, h := logic.Var("x"), logic.Const("a"), logic.Const("h")
+	ground := logic.NewClause(logic.Rel("t", a), logic.Rel("r", a, h))
+	withVar := logic.NewClause(logic.Rel("t", x), logic.Rel("r", x, logic.Var("g")))
+	withConst := logic.NewClause(logic.Rel("t", x), logic.Rel("r", x, logic.Const("g")))
+
+	fresh := eval()
+	if n := fresh.CoverageBits(ctx, withConst, examples(fresh, ground)).Count(); n != 0 {
+		t.Fatalf("on a fresh evaluator %v covers %d examples, want 0", withConst, n)
+	}
+	e := eval()
+	exs := examples(e, ground)
+	if n := e.CoverageBits(ctx, withVar, exs).Count(); n != 1 {
+		t.Fatalf("%v covers %d examples, want 1", withVar, n)
+	}
+	if n := e.CoverageBits(ctx, withConst, exs).Count(); n != 0 {
+		t.Fatalf("after scoring %v, %v covers %d examples, want 0", withVar, withConst, n)
+	}
+	if n := len(memoEntries(e)); n != 2 {
+		t.Fatalf("the memo holds %d probes, want one per clause", n)
 	}
 }

@@ -20,6 +20,12 @@ type PlanCounters struct {
 	// (or were cancelled mid-search). Their "does not subsume" answer is
 	// conservative, not definitive.
 	Exhausted int64
+	// Truncated is how many repaired-clause expansions — of prepared
+	// examples and of candidates — repair.Options.MaxStates or MaxClauses
+	// (or cancellation) cut short, so that a negative-coverage or CFD test
+	// ran on an incomplete set of repaired clauses. Examples served from a
+	// snapshot store are not expanded again and add nothing.
+	Truncated int64
 }
 
 // PlanSnapshot returns the evaluator's cumulative plan telemetry.
@@ -29,6 +35,7 @@ func (e *Evaluator) PlanSnapshot() PlanCounters {
 		Planned:   e.planPlanned.Load(),
 		Nodes:     e.planNodes.Load(),
 		Exhausted: e.planExhausted.Load(),
+		Truncated: e.planTruncated.Load(),
 	}
 }
 

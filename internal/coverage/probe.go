@@ -75,7 +75,7 @@ func (p *probe) expansion(ctx context.Context, opts repair.Options, dst *[]*subs
 	if *resolved {
 		return *dst
 	}
-	clauses := repair.RepairedClausesContext(ctx, p.c, opts)
+	clauses := p.e.expand(ctx, p.c, opts)
 	out := make([]*subsumption.CompiledCandidate, len(clauses))
 	for i, c := range clauses {
 		out[i] = subsumption.CompileCandidate(c)

@@ -44,13 +44,17 @@ func (g *Generalizer) Generalize(c, ge logic.Clause) (logic.Clause, bool) {
 	if g.covers(c, ge) {
 		return c.Clone(), true
 	}
-	kept := logic.Clause{Head: c.Head.Clone()}
-	for i := range c.Body {
-		kept.Body = append(kept.Body, c.Body[i].Clone())
-		// Only head-connected prefixes are meaningful hypotheses; prune the
-		// unconnected tail when testing.
-		if !g.covers(kept.PruneUnconnected(), ge) {
-			kept.Body = kept.Body[:len(kept.Body)-1]
+	// Only head-connected prefixes are meaningful hypotheses, so each test
+	// sees the accepted prefix pruned; the PrefixPruner maintains it as
+	// literals are pushed and rolls a rejected one back.
+	scan := logic.NewPrefixPruner(c.Head)
+	kept := logic.Clause{Head: c.Head}
+	for _, l := range c.Body {
+		scan.Push(l)
+		if g.covers(scan.Pruned(), ge) {
+			kept.Body = append(kept.Body, l)
+		} else {
+			scan.Pop()
 		}
 	}
 	// Removing literals can disconnect others from the head (including

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -191,13 +192,6 @@ func (l Literal) IsRelation() bool { return l.Kind == RelationLit }
 // IsRepair reports whether l is a repair literal.
 func (l Literal) IsRepair() bool { return l.Kind == RepairLit }
 
-// Target returns the term a repair literal replaces (its first argument).
-func (l Literal) Target() Term { return l.Args[0] }
-
-// Replacement returns the replacement term of a repair literal (its second
-// argument).
-func (l Literal) Replacement() Term { return l.Args[1] }
-
 // Clone returns a deep copy of the literal.
 func (l Literal) Clone() Literal {
 	c := l
@@ -223,10 +217,6 @@ func (l Literal) Rename(s Substitution) Literal {
 	return c
 }
 
-// Terms returns the argument terms of the literal (not including condition
-// terms of repair literals).
-func (l Literal) Terms() []Term { return l.Args }
-
 // AllTerms returns argument terms plus condition terms for repair literals.
 func (l Literal) AllTerms() []Term {
 	if len(l.Cond) == 0 {
@@ -238,18 +228,6 @@ func (l Literal) AllTerms() []Term {
 		out = append(out, c.L, c.R)
 	}
 	return out
-}
-
-// Variables returns the set of variable names appearing in the literal
-// arguments (conditions included for repair literals).
-func (l Literal) Variables() map[string]bool {
-	vars := make(map[string]bool)
-	for _, t := range l.AllTerms() {
-		if t.Var {
-			vars[t.Name] = true
-		}
-	}
-	return vars
 }
 
 // Equal reports whether two literals are syntactically identical.
@@ -272,9 +250,42 @@ func (l Literal) Equal(o Literal) bool {
 	return true
 }
 
-// Key returns a canonical string identity for the literal, usable for
-// de-duplication in sets.
-func (l Literal) Key() string { return l.String() }
+// Key returns a canonical identity for the literal, usable for
+// de-duplication in sets: see AppendKey.
+func (l Literal) Key() string { return string(l.AppendKey(nil)) }
+
+// AppendKey appends the literal's canonical binary key to dst and returns
+// the extended slice. The key encodes every field — kind, origin, the
+// Induced flag, predicate, group, and each argument and condition term with
+// its variable flag — with length prefixes, so two literals have the same
+// key iff they are field for field equal, and no key is a prefix of
+// another. (The rendered String does not separate Var("g") from
+// Const("g"), nor an induced equality from a plain one.)
+func (l Literal) AppendKey(dst []byte) []byte {
+	induced := byte(0)
+	if l.Induced {
+		induced = 1
+	}
+	dst = append(dst, byte(l.Kind), byte(l.Origin), induced)
+	dst = appendString(dst, l.Pred)
+	dst = appendString(dst, l.Group)
+	dst = binary.AppendUvarint(dst, uint64(len(l.Args)))
+	for _, t := range l.Args {
+		dst = t.appendKey(dst)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(l.Cond)))
+	for _, c := range l.Cond {
+		dst = append(dst, byte(c.Op))
+		dst = c.L.appendKey(dst)
+		dst = c.R.appendKey(dst)
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
 
 // String renders the literal in Datalog-like syntax.
 func (l Literal) String() string {

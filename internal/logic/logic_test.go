@@ -321,3 +321,22 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestClauseKeySeparatesFields pins that the key tells apart what the
+// rendering does not: a variable from a constant of the same name, and an
+// induced equality from a plain one.
+func TestClauseKeySeparatesFields(t *testing.T) {
+	head := Rel("t", Var("x"))
+	pairs := [][2]Clause{
+		{NewClause(head, Rel("r", Var("x"), Var("g"))), NewClause(head, Rel("r", Var("x"), Const("g")))},
+		{NewClause(head, Eq(Var("x"), Var("y"))), NewClause(head, InducedEq(Var("x"), Var("y")))},
+	}
+	for _, p := range pairs {
+		if p[0].String() != p[1].String() {
+			t.Fatalf("test premise: %v and %v should render alike", p[0], p[1])
+		}
+		if p[0].Key() == p[1].Key() {
+			t.Errorf("%v and %v share a key", p[0], p[1])
+		}
+	}
+}

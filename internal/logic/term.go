@@ -50,6 +50,16 @@ func (t Term) String() string {
 	return t.Name
 }
 
+// appendKey appends the term's variable flag and length-prefixed name.
+func (t Term) appendKey(dst []byte) []byte {
+	if t.Var {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	return appendString(dst, t.Name)
+}
+
 // Substitution maps variable names to terms. Applying a substitution to a
 // clause replaces every occurrence of a bound variable with its image.
 type Substitution map[string]Term

@@ -25,7 +25,7 @@ func allEvents() []Event {
 		SnapshotWriteFailed{Key: "ab12", Error: "disk full"},
 		ResultCacheHit{Key: "cd34", Bytes: 512},
 		PersistenceDegraded{Component: "journal", Detail: "disk full"},
-		RunFinished{Clauses: 2, ClausesConsidered: 120, UncoveredPositives: 0, Duration: 3 * time.Second},
+		RunFinished{Clauses: 2, ClausesConsidered: 120, UncoveredPositives: 0, ExhaustedProbes: 3, TruncatedExpansions: 1, Duration: 3 * time.Second},
 	}
 }
 

@@ -200,6 +200,12 @@ type RunFinished struct {
 	// UncoveredPositives is the number of positive examples the definition
 	// does not cover.
 	UncoveredPositives int
+	// ExhaustedProbes and TruncatedExpansions are the run's conservative
+	// coverage answers: θ-subsumption probes that hit the node budget, and
+	// repaired-clause expansions the repair budget cut short (see the
+	// fields of the same names on core.Report).
+	ExhaustedProbes     int64
+	TruncatedExpansions int64
 	// Duration is the whole run's wall-clock time.
 	Duration time.Duration
 }

@@ -42,7 +42,7 @@ func paperMDClause() logic.Clause {
 }
 
 func TestRepairedClausesExample32(t *testing.T) {
-	got := RepairedClausesContext(context.Background(), paperMDClause(), Options{})
+	got, _ := RepairedClausesContext(context.Background(), paperMDClause(), Options{})
 	if len(got) != 1 {
 		t.Fatalf("Example 3.2 should yield exactly one repaired clause, got %d:\n%v", len(got), got)
 	}
@@ -99,7 +99,7 @@ func example33Clause() logic.Clause {
 }
 
 func TestRepairedClausesExample33TwoRepairs(t *testing.T) {
-	got := RepairedClausesContext(context.Background(), example33Clause(), Options{})
+	got, _ := RepairedClausesContext(context.Background(), example33Clause(), Options{})
 	if len(got) != 2 {
 		t.Fatalf("Example 3.3 should yield two repaired clauses, got %d:\n%v", len(got), got)
 	}
@@ -153,7 +153,7 @@ func cfdViolationClause() logic.Clause {
 }
 
 func TestRepairedClausesCFDViolationAlternatives(t *testing.T) {
-	got := RepairedClausesContext(context.Background(), cfdViolationClause(), Options{})
+	got, _ := RepairedClausesContext(context.Background(), cfdViolationClause(), Options{})
 	if len(got) < 3 {
 		t.Fatalf("CFD violation should yield at least 3 distinct repairs, got %d:\n%v", len(got), got)
 	}
@@ -206,7 +206,7 @@ func TestRepairedClausesCFDViolationAlternatives(t *testing.T) {
 
 func TestRepairedClausesNoRepairLiterals(t *testing.T) {
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	got := RepairedClausesContext(context.Background(), c, Options{})
+	got, _ := RepairedClausesContext(context.Background(), c, Options{})
 	if len(got) != 1 || !got[0].Equal(c) {
 		t.Fatalf("clause without repair literals should repair to itself: %v", got)
 	}
@@ -222,7 +222,7 @@ func TestRepairedClausesFalseConditionDropsGroup(t *testing.T) {
 		logic.RepairInGroup("md1", "md1#0", logic.OriginMD, x, vx,
 			logic.Condition{Op: logic.CondSim, L: x, R: tt}),
 	)
-	got := RepairedClausesContext(context.Background(), c, Options{})
+	got, _ := RepairedClausesContext(context.Background(), c, Options{})
 	if len(got) != 1 {
 		t.Fatalf("expected a single repaired clause, got %d", len(got))
 	}
@@ -232,9 +232,12 @@ func TestRepairedClausesFalseConditionDropsGroup(t *testing.T) {
 }
 
 func TestRepairedClausesRespectsCap(t *testing.T) {
-	got := RepairedClausesContext(context.Background(), example33Clause(), Options{MaxClauses: 1})
-	if len(got) != 1 {
-		t.Fatalf("MaxClauses=1 should cap the result, got %d", len(got))
+	got, cut := RepairedClausesContext(context.Background(), example33Clause(), Options{MaxClauses: 1})
+	if len(got) != 1 || !cut {
+		t.Fatalf("MaxClauses=1 should cap the result and report the cut, got %d clauses, cut=%v", len(got), cut)
+	}
+	if got, cut := RepairedClausesContext(context.Background(), example33Clause(), Options{}); len(got) != 2 || cut {
+		t.Fatalf("the uncapped expansion yields %d clauses, cut=%v; want 2 and no cut", len(got), cut)
 	}
 }
 
@@ -243,7 +246,8 @@ func TestRepairedClausesRespectsCap(t *testing.T) {
 func TestPropertyRepairedClausesAreRepaired(t *testing.T) {
 	inputs := []logic.Clause{paperMDClause(), example33Clause(), cfdViolationClause()}
 	for _, c := range inputs {
-		for _, rc := range RepairedClausesContext(context.Background(), c, Options{}) {
+		repaired, _ := RepairedClausesContext(context.Background(), c, Options{})
+		for _, rc := range repaired {
 			if countBody(rc, logic.Literal.IsRepair) != 0 {
 				t.Fatalf("repaired clause contains repair literals: %v", rc)
 			}
@@ -392,7 +396,8 @@ func TestPropertyMinimalCFDRepairSatisfies(t *testing.T) {
 func TestRepairedClauseStringIsReadable(t *testing.T) {
 	// Guard against regressions in rendering that would make EXPERIMENTS.md
 	// output unreadable: the repaired clause of Example 3.2 mentions vx.
-	got := RepairedClausesContext(context.Background(), paperMDClause(), Options{})[0].String()
+	repaired, _ := RepairedClausesContext(context.Background(), paperMDClause(), Options{})
+	got := repaired[0].String()
 	if !strings.Contains(got, "highGrossing(vx)") {
 		t.Errorf("unexpected rendering: %s", got)
 	}

@@ -141,11 +141,12 @@ func bruteConstraintsOK(c logic.Clause, theta map[string]logic.Term, eqc eqClosu
 // bruteClosureOK checks the second condition of Definition 4.4: every repair
 // literal of d connected to a mapped relation literal of d is itself mapped.
 func bruteClosureOK(d logic.Clause, mapped map[int]bool) bool {
+	connected := d.RepairConnectivity()
 	for di := range mapped {
 		if !d.Body[di].IsRelation() {
 			continue
 		}
-		for _, ri := range d.ConnectedRepairLiterals(di) {
+		for _, ri := range connected[di] {
 			if !mapped[ri] {
 				return false
 			}

@@ -60,7 +60,7 @@ type Prepared struct {
 	byPred    map[uint32][]int
 	eq        eqClosure
 	simPairs  map[[2]logic.Term]bool
-	connected map[int][]int
+	connected [][]int
 	hasRepair bool
 	maxNodes  int
 }
@@ -68,11 +68,10 @@ type Prepared struct {
 // Prepare preprocesses the subsumed side d for repeated subsumption tests.
 func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 	p := &Prepared{
-		d:         d,
-		byPred:    make(map[uint32][]int),
-		simPairs:  make(map[[2]logic.Term]bool),
-		connected: make(map[int][]int),
-		maxNodes:  ch.Opts.maxNodes(),
+		d:        d,
+		byPred:   make(map[uint32][]int),
+		simPairs: make(map[[2]logic.Term]bool),
+		maxNodes: ch.Opts.maxNodes(),
 	}
 	eq := newUnionFind()
 	for i, l := range d.Body {
@@ -94,13 +93,9 @@ func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 	}
 	p.eq = eq.freeze()
 	// Only relation literals are consulted by the closure check (mapped
-	// repair literals are skipped), so precomputing these makes the check
-	// read-only and the Prepared safely shareable.
-	for i, l := range d.Body {
-		if l.IsRelation() {
-			p.connected[i] = d.ConnectedRepairLiterals(i)
-		}
-	}
+	// repair literals are skipped), so precomputing their connectivity makes
+	// the check read-only and the Prepared safely shareable.
+	p.connected = d.RepairConnectivity()
 	return p
 }
 

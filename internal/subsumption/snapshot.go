@@ -79,13 +79,12 @@ func (p *Prepared) Snapshot() PreparedSnapshot {
 		copy(rs, reps)
 		s.Connected = append(s.Connected, ConnectedEntry{Literal: li, Repairs: rs})
 	}
-	sortConnected(s.Connected)
 	return s
 }
 
 // RestorePrepared rebuilds a Prepared from its snapshot without re-running
-// the quadratic parts of Prepare (equality-closure freezing and repair
-// connectivity). The predicate index and repair flag are recomputed from the
+// the parts of Prepare the snapshot stores (equality-closure freezing and
+// repair connectivity). The predicate index and repair flag are recomputed from the
 // clause in one linear pass. The restored value is immutable and behaves
 // identically to the Prepared the snapshot was taken from.
 func RestorePrepared(s PreparedSnapshot) *Prepared {
@@ -98,7 +97,7 @@ func RestorePrepared(s PreparedSnapshot) *Prepared {
 		byPred:    make(map[uint32][]int),
 		eq:        eqClosure{root: make(map[logic.Term]logic.Term, len(s.EqRoots))},
 		simPairs:  make(map[[2]logic.Term]bool, len(s.SimPairs)),
-		connected: make(map[int][]int, len(s.Connected)),
+		connected: make([][]int, len(s.Clause.Body)),
 		maxNodes:  maxNodes,
 	}
 	for i, l := range s.Clause.Body {
@@ -117,15 +116,13 @@ func RestorePrepared(s PreparedSnapshot) *Prepared {
 		p.simPairs[pr] = true
 	}
 	for _, e := range s.Connected {
-		p.connected[e.Literal] = e.Repairs
+		if e.Literal >= 0 && e.Literal < len(p.connected) {
+			p.connected[e.Literal] = e.Repairs
+		}
 	}
 	return p
 }
 
 func sortPairs(ps [][2]logic.Term) {
 	sort.Slice(ps, func(i, j int) bool { return termPairLess(ps[i], ps[j]) })
-}
-
-func sortConnected(es []ConnectedEntry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Literal < es[j].Literal })
 }

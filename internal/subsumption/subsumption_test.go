@@ -261,8 +261,8 @@ func TestSubsumptionSoundnessTheorem46(t *testing.T) {
 	if ok, _ := subsumes(checker(), c, d); !ok {
 		t.Fatal("precondition: c subsumes d")
 	}
-	cReps := repair.RepairedClausesContext(context.Background(), c, repair.Options{})
-	dReps := repair.RepairedClausesContext(context.Background(), d, repair.Options{})
+	cReps, _ := repair.RepairedClausesContext(context.Background(), c, repair.Options{})
+	dReps, _ := repair.RepairedClausesContext(context.Background(), d, repair.Options{})
 	for _, cr := range cReps {
 		found := false
 		for _, dr := range dReps {
