@@ -2,6 +2,7 @@ package subsumption
 
 import (
 	"context"
+	"slices"
 
 	"dlearn/internal/logic"
 )
@@ -17,6 +18,9 @@ import (
 // for concurrent probing from many goroutines: every probe allocates its own
 // search state (candidate images depend on the prepared example, so they are
 // computed per probe; the variable numbering and constraints are shared).
+// A probe rejected because some literal has no image allocates nothing; any
+// other probe allocates its search state once, however many nodes it
+// explores.
 type CompiledCandidate struct {
 	c logic.Clause
 
@@ -35,13 +39,26 @@ type CompiledCandidate struct {
 	headVars []int
 }
 
-// candLit is one mappable literal of the candidate: its body index, its
-// interned predicate-key ID (used to look up images in a Prepared) and
-// compiled arguments.
+// candLit is one mappable literal of the candidate: its interned
+// predicate-key ID (used to look up images in a Prepared) and compiled
+// arguments.
 type candLit struct {
-	cIndex int
-	key    uint32
-	args   []compiledTerm
+	key  uint32
+	args []compiledTerm
+}
+
+// matches reports whether a d literal with arguments dArgs can be an image
+// of l: the same arity, and l's constants at their positions.
+func (l *candLit) matches(dArgs []logic.Term) bool {
+	if len(dArgs) != len(l.args) {
+		return false
+	}
+	for k := range l.args {
+		if a := &l.args[k]; a.varID < 0 && (dArgs[k].IsVar() || dArgs[k].Name != a.value) {
+			return false
+		}
+	}
+	return true
 }
 
 // CompileCandidate compiles the subsuming side of a clause for repeated
@@ -66,10 +83,10 @@ func CompileCandidate(c logic.Clause) *CompiledCandidate {
 		termOf(a)
 	}
 
-	for i, l := range c.Body {
+	for _, l := range c.Body {
 		switch {
 		case l.IsRelation() || l.IsRepair():
-			cl := candLit{cIndex: i, key: predID(l)}
+			cl := candLit{key: predID(l)}
 			for _, a := range l.Args {
 				cl.args = append(cl.args, termOf(a))
 			}
@@ -117,64 +134,71 @@ func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, plain bool)
 	if cc.c.Head.Pred != p.d.Head.Pred || len(cc.c.Head.Args) != len(p.d.Head.Args) {
 		return false, nil, ProbeStats{}
 	}
-	e := cc.against(ctx, p, plain)
+	images, feasible := cc.imageBound(p)
+	if !feasible {
+		// A mappable literal with no image: the search cannot succeed, so
+		// no search state is built. Failing probes are the common case when
+		// scoring selective candidates.
+		return false, nil, ProbeStats{}
+	}
+	e := cc.against(ctx, p, plain, images)
 	ok, theta := e.run()
 	return ok, theta, ProbeStats{
 		Nodes:     e.nodes,
-		Planned:   !e.infeasible,
+		Planned:   true,
 		Exhausted: !ok && e.nodes >= e.maxNodes,
 	}
 }
 
-// against instantiates the per-probe search state: candidate images of every
-// literal in the prepared clause (filtered by predicate key, arity and
-// constant positions) and the search order over them.
-func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain bool) *compiled {
-	e := &compiled{
-		c: cc.c, d: prep.d,
-		varIndex:          cc.varIndex,
-		varNames:          cc.varNames,
-		constraints:       cc.constraints,
-		varConstraints:    cc.varConstraints,
-		prep:              prep,
-		skipRepairClosure: plain,
-		maxNodes:          prep.maxNodes,
-		ctx:               ctx,
+// imageBound reports whether every mappable literal of the candidate has at
+// least one image in the prepared clause and, if so, an upper bound on their
+// total number of images. It only reads, so an infeasible probe allocates
+// nothing.
+func (cc *CompiledCandidate) imageBound(prep *Prepared) (int, bool) {
+	n := 0
+	for i := range cc.lits {
+		l := &cc.lits[i]
+		bucket := prep.byPred[l.key]
+		if !slices.ContainsFunc(bucket, func(di int) bool { return l.matches(prep.d.Body[di].Args) }) {
+			return 0, false
+		}
+		n += len(bucket)
 	}
-	lits := make([]compiledLit, 0, len(cc.lits))
-	for _, l := range cc.lits {
-		cl := compiledLit{cIndex: l.cIndex, args: l.args}
+	return n, true
+}
+
+// against instantiates the search state of a feasible probe: the candidate
+// images of every literal in the prepared clause, collected into one backing
+// slice of capacity images, the search order over them, the binding, the
+// trail and, when the closure is checked, the search path.
+func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain bool, images int) compiled {
+	all := make([]int, 0, images)
+	lits := make([]compiledLit, len(cc.lits))
+	for i := range cc.lits {
+		l := &cc.lits[i]
+		start := len(all)
 		for _, di := range prep.byPred[l.key] {
-			dl := prep.d.Body[di]
-			if len(dl.Args) != len(l.args) {
-				continue
-			}
-			ok := true
-			for k, a := range l.args {
-				if a.varID < 0 {
-					da := dl.Args[k]
-					if da.IsVar() || da.Name != a.value {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				cl.candidates = append(cl.candidates, di)
+			if l.matches(prep.d.Body[di].Args) {
+				all = append(all, di)
 			}
 		}
-		if len(cl.candidates) == 0 {
-			// A mappable literal with no image: the search cannot succeed, so
-			// skip ordering and search-state setup entirely. Failing probes
-			// are the common case when scoring selective candidates.
-			e.infeasible = true
-			return e
-		}
-		lits = append(lits, cl)
+		lits[i] = compiledLit{args: l.args, candidates: all[start:len(all):len(all)]}
 	}
-	// Plan the search order: selectivity-greedy over the per-probe candidate
-	// images. The plan is a permutation of lits, so it can change only the
-	// node count of the search, never its outcome.
-	e.lits = applyPlan(lits, planOrder(lits, len(cc.varNames), cc.headVars))
+	nv := len(cc.varNames)
+	e := compiled{
+		cc:   cc,
+		prep: prep,
+		// Plan the search order: selectivity-greedy over the per-probe
+		// candidate images. The plan is a permutation of lits, so it can
+		// change only the node count of the search, never its outcome.
+		lits:     applyPlan(lits, planOrder(lits, nv, cc.headVars)),
+		b:        binding{terms: make([]logic.Term, nv), bound: make([]bool, nv)},
+		trail:    make([]int, 0, nv),
+		maxNodes: prep.maxNodes,
+		ctx:      ctx,
+	}
+	if !plain && prep.hasRepair {
+		e.path = make([]int, len(lits))
+	}
 	return e
 }

@@ -249,6 +249,62 @@ func TestPlannerAdversarialCases(t *testing.T) {
 	}
 }
 
+// TestClosureSharedImageBacktracking runs the differential battery where
+// two literals of c map to the same d literal and the search then
+// backtracks the deeper one onto another image: the d literal stays mapped
+// through the shallower one, so the closure must still see it. In the first
+// case the shared image is a relation literal, whose connected repair
+// literal c cannot map: every mapping fails Definition 4.4. In the second it
+// is a repair literal, which must still count as mapped for the relation
+// literal it is connected to: the mapping holds.
+func TestClosureSharedImageBacktracking(t *testing.T) {
+	ch := fuzzChecker()
+	x, y, z, u, u2 := logic.Var("x"), logic.Var("y"), logic.Var("z"), logic.Var("u"), logic.Var("u2")
+	a, b, cst, e := logic.Const("a"), logic.Const("b"), logic.Const("c"), logic.Const("e")
+	w, w2 := logic.Var("w"), logic.Var("w2")
+	rep := func(target, repl logic.Term) logic.Literal {
+		cond := logic.Condition{Op: logic.CondSim, L: target, R: repl}
+		return logic.RepairInGroup("md1", "md1#0", logic.OriginMD, target, repl, cond)
+	}
+	cases := []struct {
+		name string
+		c, d logic.Clause
+		want bool // Definition 4.4 answer; plain mode always subsumes
+	}{
+		{
+			// Plan: r(x,b), r(x,z), s(z). r(x,z) first maps to r(a,b) beside
+			// r(x,b), s(b) has no image, so it moves to r(a,c). r(a,b) is
+			// still mapped, so rep(b,w) is required and unmapped.
+			"shared relation literal",
+			logic.NewClause(logic.Rel("p", x), logic.Rel("r", x, b), logic.Rel("r", x, z), logic.Rel("s", z)),
+			logic.NewClause(logic.Rel("p", a),
+				logic.Rel("r", a, b), logic.Rel("r", a, cst), logic.Rel("s", cst), logic.Rel("s", e), rep(b, w)),
+			false,
+		},
+		{
+			// Plan: r(x,y), rep(y,u), rep(z,u2), s(z). rep(z,u2) first maps
+			// to rep(b,w) beside rep(y,u), s(b) has no image, so it moves to
+			// rep(c,w2). rep(b,w) is still mapped, which r(a,b) requires.
+			"shared repair literal",
+			logic.NewClause(logic.Rel("p", x), logic.Rel("r", x, y), rep(y, u), rep(z, u2), logic.Rel("s", z)),
+			logic.NewClause(logic.Rel("p", a),
+				logic.Rel("r", a, b), rep(b, w), rep(cst, w2), logic.Rel("s", cst), logic.Rel("s", e)),
+			true,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkAgainstReference(t, ch, tc.c, tc.d)
+			if got := bruteForceSubsumes(tc.c, tc.d, false); got != tc.want {
+				t.Fatalf("Definition 4.4 answer = %v, want %v", got, tc.want)
+			}
+			if !bruteForceSubsumes(tc.c, tc.d, true) {
+				t.Fatal("plain θ-subsumption should ignore the closure requirement")
+			}
+		})
+	}
+}
+
 // --- fuzzing ----------------------------------------------------------------
 
 // byteSrc deals decision bytes to the clause generator; exhausted input

@@ -2,39 +2,37 @@ package subsumption
 
 import (
 	"context"
+	"slices"
 
 	"dlearn/internal/logic"
 )
 
-// compiled is the preprocessed form of a subsumption problem c ⊆θ d. The
-// variables of c are numbered densely so bindings live in a slice rather
-// than a map, candidate images are precomputed per literal (filtered by
-// predicate and constant positions), and restriction literals are attached
-// to the variables they mention so they are checked as soon as both sides
-// are bound.
+// compiled is the per-probe search state of a subsumption problem c ⊆θ d:
+// the mappable literals of c in search order with their candidate images in
+// d (filtered by predicate and constant positions), the binding of c's dense
+// variable ids, the trail of variables the search has bound, and — when the
+// repair-literal closure of Definition 4.4 is checked — the d literal chosen
+// at every depth. Probe allocates it once; the search allocates nothing.
 type compiled struct {
-	c, d logic.Clause
-
-	varIndex map[string]int // c variable name -> dense id
-	varNames []string
-
-	// mappable literals of c in search order.
-	lits []compiledLit
-
-	// constraints of c (restriction literals).
-	constraints []compiledConstraint
-	// varConstraints[v] lists constraint indices mentioning variable v.
-	varConstraints [][]int
-
+	// cc is the candidate side: variable numbering and constraints.
+	cc *CompiledCandidate
 	// prep is the preprocessed d-side (shared across many c's).
 	prep *Prepared
 
-	skipRepairClosure bool
-	// infeasible marks a probe where some literal of c has no candidate
-	// image in d; the search is skipped entirely.
-	infeasible bool
-	maxNodes   int
-	nodes      int
+	// lits are the mappable literals of c in search order.
+	lits []compiledLit
+	b    binding
+	// trail is the stack of variable ids bound by the search, undone by
+	// height on backtracking. A variable is on it at most once, so its
+	// capacity is the number of variables.
+	trail []int
+	// path[k] is the d literal that the literal at depth k maps to. It is
+	// nil when the closure is not checked (plain mode, or d has no repair
+	// literals, where the check is vacuous).
+	path []int
+
+	maxNodes int
+	nodes    int
 
 	// ctx cancels the search: the node loop polls it periodically and a
 	// cancelled search reports "does not subsume", exactly like an exhausted
@@ -102,7 +100,6 @@ func (ch *Checker) Prepare(d logic.Clause) *Prepared {
 // compiledLit is one relation or repair literal of c with its candidate
 // images in d.
 type compiledLit struct {
-	cIndex     int
 	args       []compiledTerm
 	candidates []int // indices into d.Body
 }
@@ -136,23 +133,20 @@ func headVarIDs(c logic.Clause, varIndex map[string]int) []int {
 	return out
 }
 
-// run performs the backtracking search. It returns the substitution when c
-// subsumes d.
+// run binds the head and performs the backtracking search. It returns the
+// substitution when c subsumes d.
 func (e *compiled) run() (bool, logic.Substitution) {
-	if e.infeasible {
-		return false, nil
-	}
-	b := binding{terms: make([]logic.Term, len(e.varNames)), bound: make([]bool, len(e.varNames))}
-	// Bind head variables.
-	for i, a := range e.c.Head.Args {
-		da := e.d.Head.Args[i]
+	b := &e.b
+	dHead := e.prep.d.Head.Args
+	for i, a := range e.cc.c.Head.Args {
+		da := dHead[i]
 		if a.IsConst() {
 			if da.IsVar() || da.Name != a.Name {
 				return false, nil
 			}
 			continue
 		}
-		id := e.varIndex[a.Name]
+		id := e.cc.varIndex[a.Name]
 		if b.bound[id] && b.terms[id] != da {
 			return false, nil
 		}
@@ -163,18 +157,11 @@ func (e *compiled) run() (bool, logic.Substitution) {
 			return false, nil
 		}
 	}
-	// The mapped-literal bookkeeping only feeds the repair-closure check of
-	// Definition 4.4; skip it (nil map) in plain mode and when d has no
-	// repair literals, where the check is vacuous.
-	var mapped map[int]int
-	if !e.skipRepairClosure && e.prep.hasRepair {
-		mapped = make(map[int]int)
-	}
-	if !e.search(b, 0, mapped) {
+	if !e.search(0) {
 		return false, nil
 	}
 	theta := logic.NewSubstitution()
-	for id, name := range e.varNames {
+	for id, name := range e.cc.varNames {
 		if b.bound[id] {
 			theta[name] = b.terms[id]
 		}
@@ -182,7 +169,7 @@ func (e *compiled) run() (bool, logic.Substitution) {
 	return true, theta
 }
 
-func (e *compiled) search(b binding, k int, mapped map[int]int) bool {
+func (e *compiled) search(k int) bool {
 	if e.nodes >= e.maxNodes {
 		return false
 	}
@@ -194,38 +181,27 @@ func (e *compiled) search(b binding, k int, mapped map[int]int) bool {
 	}
 	e.nodes++
 	if k == len(e.lits) {
-		if !e.finalConstraintsOK(b) {
+		if !e.finalConstraintsOK(&e.b) {
 			return false
 		}
-		if mapped != nil && !e.repairClosureOK(mapped) {
+		if e.path != nil && !e.repairClosureOK() {
 			return false
 		}
 		return true
 	}
-	cl := e.lits[k]
+	cl := &e.lits[k]
+	body := e.prep.d.Body
 	for _, di := range cl.candidates {
-		dl := e.d.Body[di]
-		trail, ok := e.bindLit(&b, cl, dl)
-		if ok {
-			prev, hadPrev := 0, false
-			if mapped != nil {
-				prev, hadPrev = mapped[di]
-				mapped[di] = cl.cIndex
+		height := len(e.trail)
+		if e.bindLit(cl, body[di].Args) {
+			if e.path != nil {
+				e.path[k] = di
 			}
-			if e.search(b, k+1, mapped) {
+			if e.search(k + 1) {
 				return true
 			}
-			if mapped != nil {
-				if hadPrev {
-					mapped[di] = prev
-				} else {
-					delete(mapped, di)
-				}
-			}
 		}
-		for _, v := range trail {
-			b.bound[v] = false
-		}
+		e.undo(height)
 		if e.nodes >= e.maxNodes {
 			return false
 		}
@@ -233,43 +209,52 @@ func (e *compiled) search(b binding, k int, mapped map[int]int) bool {
 	return false
 }
 
-// bindLit binds the variables of cl to the arguments of dl, checking
-// constants and the constraints of every newly bound variable. It returns
-// the trail of newly bound variable ids; on failure the caller must undo the
-// trail.
-func (e *compiled) bindLit(b *binding, cl compiledLit, dl logic.Literal) ([]int, bool) {
-	var trail []int
-	for i, a := range cl.args {
-		da := dl.Args[i]
+// bindLit binds the variables of cl to the arguments dArgs of a d literal,
+// checking constants and the constraints of every newly bound variable. It
+// pushes every newly bound variable on the trail; on failure the caller
+// must undo the trail to its height before the call.
+func (e *compiled) bindLit(cl *compiledLit, dArgs []logic.Term) bool {
+	b := &e.b
+	for i := range cl.args {
+		a := &cl.args[i]
+		da := dArgs[i]
 		if a.varID < 0 {
 			if da.IsVar() || da.Name != a.value {
-				return trail, false
+				return false
 			}
 			continue
 		}
 		if b.bound[a.varID] {
 			if b.terms[a.varID] != da {
-				return trail, false
+				return false
 			}
 			continue
 		}
 		b.terms[a.varID] = da
 		b.bound[a.varID] = true
-		trail = append(trail, a.varID)
-		if !e.constraintsOKFor(*b, a.varID) {
-			return trail, false
+		e.trail = append(e.trail, a.varID)
+		if !e.constraintsOKFor(b, a.varID) {
+			return false
 		}
 	}
-	return trail, true
+	return true
+}
+
+// undo unbinds the variables pushed on the trail above height.
+func (e *compiled) undo(height int) {
+	for _, v := range e.trail[height:] {
+		e.b.bound[v] = false
+	}
+	e.trail = e.trail[:height]
 }
 
 // constraintsOKFor checks the constraints mentioning variable v whose two
 // sides are both determined.
-func (e *compiled) constraintsOKFor(b binding, v int) bool {
-	for _, ci := range e.varConstraints[v] {
-		con := e.constraints[ci]
-		lt, lok := e.image(b, con.l)
-		rt, rok := e.image(b, con.r)
+func (e *compiled) constraintsOKFor(b *binding, v int) bool {
+	for _, ci := range e.cc.varConstraints[v] {
+		con := &e.cc.constraints[ci]
+		lt, lok := image(b, &con.l)
+		rt, rok := image(b, &con.r)
 		if !lok || !rok {
 			continue
 		}
@@ -283,10 +268,11 @@ func (e *compiled) constraintsOKFor(b binding, v int) bool {
 // finalConstraintsOK re-checks every constraint at the end; constraints with
 // an unbound side are considered satisfiable (a free variable can always be
 // bound to a value making them true).
-func (e *compiled) finalConstraintsOK(b binding) bool {
-	for _, con := range e.constraints {
-		lt, lok := e.image(b, con.l)
-		rt, rok := e.image(b, con.r)
+func (e *compiled) finalConstraintsOK(b *binding) bool {
+	for i := range e.cc.constraints {
+		con := &e.cc.constraints[i]
+		lt, lok := image(b, &con.l)
+		rt, rok := image(b, &con.r)
 		if !lok || !rok {
 			continue
 		}
@@ -297,7 +283,7 @@ func (e *compiled) finalConstraintsOK(b binding) bool {
 	return true
 }
 
-func (e *compiled) image(b binding, t compiledTerm) (logic.Term, bool) {
+func image(b *binding, t *compiledTerm) (logic.Term, bool) {
 	if t.varID < 0 {
 		return logic.Const(t.value), true
 	}
@@ -322,17 +308,18 @@ func (e *compiled) constraintHolds(kind logic.Kind, a, b logic.Term) bool {
 
 // repairClosureOK enforces the second condition of Definition 4.4: every
 // repair literal of d connected to a mapped (non-repair) literal of d must
-// itself be mapped.
-func (e *compiled) repairClosureOK(mapped map[int]int) bool {
-	for di := range mapped {
-		dl := e.d.Body[di]
-		if dl.IsRepair() {
+// itself be mapped. A d literal is mapped iff it is on the search path, so
+// the check reads the complete path and needs no bookkeeping per node.
+func (e *compiled) repairClosureOK() bool {
+	body := e.prep.d.Body
+	for _, di := range e.path {
+		if body[di].IsRepair() {
 			continue
 		}
 		// Connectivity was precomputed for every relation literal in Prepare,
 		// so this is a pure read and the Prepared stays shareable.
 		for _, ri := range e.prep.connected[di] {
-			if _, ok := mapped[ri]; !ok {
+			if !slices.Contains(e.path, ri) {
 				return false
 			}
 		}
