@@ -187,14 +187,15 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 		keyScratch = append(keyScratch[:0], rel...)
 		keyScratch = append(keyScratch, 0)
 		keyScratch = appendIDKey(keyScratch, idScratch)
-		key := string(keyScratch)
-		if seenTuples[key] {
+		// Indexing with string(keyScratch) does not allocate; only the
+		// insertion below copies the key.
+		if seenTuples[string(keyScratch)] {
 			return relation.Tuple{}, false
 		}
 		if b.cfg.SampleSize > 0 && perRel[rel] >= b.cfg.SampleSize {
 			return relation.Tuple{}, false
 		}
-		seenTuples[key] = true
+		seenTuples[string(keyScratch)] = true
 		perRel[rel]++
 		t := b.inst.TupleAt(rel, pos)
 		col.tuples = append(col.tuples, t)
@@ -368,7 +369,8 @@ func snapshotConstants(m map[string]map[string]bool) []string {
 
 // dedupPositions removes rows with identical values (not merely identical
 // positions) from a candidate position list of one relation, keeping the
-// first occurrence. Rows are compared by their interned ID vectors.
+// first occurrence. Rows are compared by their interned ID vectors; a key
+// string is allocated only for a row not seen before.
 func (b *Builder) dedupPositions(rel string, ps []int) []int {
 	seen := make(map[string]bool, len(ps))
 	var ids []uint32
@@ -377,11 +379,10 @@ func (b *Builder) dedupPositions(rel string, ps []int) []int {
 	for _, p := range ps {
 		ids = b.inst.RowIDs(ids[:0], rel, p)
 		key = appendIDKey(key[:0], ids)
-		k := string(key)
-		if seen[k] {
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out = append(out, p)
 	}
 	return out

@@ -117,7 +117,7 @@ func (b *Builder) buildClause(example relation.Tuple, col collection, ground boo
 						// level, not with clause repair literals.
 						continue
 					}
-					b.addCFDViolation(&clause, cfd, lits[i].index, lits[j].index, lhs[0], rhs, ground, fresh, violationID)
+					b.addCFDViolation(&clause, cfd, lits[i].index, lits[j].index, lhs[0], rhs, fresh, violationID)
 					violationID++
 				}
 			}
@@ -135,7 +135,7 @@ func (b *Builder) buildClause(example relation.Tuple, col collection, ground boo
 // others. Four alternative repair groups are then added: break either LHS
 // occurrence with a fresh value, or unify the RHS values in either
 // direction (the minimal-repair form that reuses existing variables).
-func (b *Builder) addCFDViolation(clause *logic.Clause, cfd constraints.CFD, li, lj, lhsPos, rhsPos int, ground bool, fresh *logic.VarCounter, violationID int) {
+func (b *Builder) addCFDViolation(clause *logic.Clause, cfd constraints.CFD, li, lj, lhsPos, rhsPos int, fresh *logic.VarCounter, violationID int) {
 	l1, l2 := clause.Body[li], clause.Body[lj]
 	orig1 := l1.Args[lhsPos]
 	orig2 := l2.Args[lhsPos]
@@ -184,5 +184,4 @@ func (b *Builder) addCFDViolation(clause *logic.Clause, cfd constraints.CFD, li,
 		logic.RepairInGroup(cfd.Name, mk("rhs1"), logic.OriginCFD, z, t, cond...),
 		logic.RepairInGroup(cfd.Name, mk("rhs2"), logic.OriginCFD, t, z, cond...),
 	)
-	_ = ground
 }

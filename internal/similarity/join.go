@@ -27,12 +27,15 @@ type Match struct {
 // of the multiset intersection of its folded runes over the shorter length.
 // Averaged with the exact Length similarity this bounds the combined score
 // from above, and TopK aligns candidates in descending bound order only
-// until the bound can no longer reach the threshold or the k-th score.
+// until the bound can no longer reach the threshold or the k-th score. Under
+// the same scheme each alignment runs with a cutoff (scheme.align): it stops
+// as soon as it can no longer reach the score that would admit its value.
 type Index struct {
-	opts      Options
+	scheme    scheme
 	threshold float64
-	// bounded reports whether the scheme admits the character bound (see
-	// boundSound); without it every candidate is aligned.
+	// bounded reports whether the scheme admits the character bound and
+	// the alignment cutoff (see boundSound); without it every candidate is
+	// aligned in full.
 	bounded bool
 	values  []string
 	// folded[i] is value i's folded runes (Options.fold), sorted[i] the same
@@ -55,7 +58,7 @@ type Index struct {
 func NewIndex(values []string, opts Options, threshold float64) *Index {
 	n := len(values)
 	idx := &Index{
-		opts:      opts,
+		scheme:    opts.mustScheme(),
 		threshold: threshold,
 		bounded:   boundSound(opts),
 		values:    make([]string, n),
@@ -80,20 +83,12 @@ func NewIndex(values []string, opts Options, threshold float64) *Index {
 	return idx
 }
 
-// boundSound reports whether the character bound of TopK holds bit for bit
-// under the scheme: a positive match score, non-positive mismatch and gap
-// scores, and scores on a 2^-10 grid within ±2^10, so every sum the
-// alignment DP forms is exact in float64 (DefaultOptions qualifies).
+// boundSound reports whether the character bound and the alignment cutoff
+// of TopK hold under a scheme on the grid of Options.scheme: a positive
+// match score and non-positive mismatch and gap scores (DefaultOptions
+// qualifies).
 func boundSound(o Options) bool {
-	if o.MatchScore <= 0 || o.MismatchScore > 0 || o.GapOpen > 0 || o.GapExtend > 0 {
-		return false
-	}
-	for _, s := range []float64{o.MatchScore, o.MismatchScore, o.GapOpen, o.GapExtend} {
-		if math.Abs(s) > 1<<10 || s*(1<<10) != math.Trunc(s*(1<<10)) {
-			return false
-		}
-	}
-	return true
+	return o.MatchScore > 0 && o.MismatchScore <= 0 && o.GapOpen <= 0 && o.GapExtend <= 0
 }
 
 // sortedRunes returns a sorted copy of rs.
@@ -137,9 +132,9 @@ type boundedPos struct {
 // deterministic. k <= 0 means no limit. The result equals scoring every
 // blocked candidate with Combined(opts) (BruteForceTopK over
 // idx.candidates(probe)); candidates whose bound cannot reach the answer
-// are never aligned.
+// are never aligned, and an alignment that can no longer reach it stops.
 func (idx *Index) TopK(probe string, k int) []Match {
-	pf := idx.opts.fold(probe)
+	pf := idx.scheme.opts.fold(probe)
 	ps := sortedRunes(pf)
 	pn := utf8.RuneCountInString(probe)
 
@@ -156,23 +151,37 @@ func (idx *Index) TopK(probe string, k int) []Match {
 		cands = append(cands, boundedPos{pos, ub})
 		maxLen = max(maxLen, len(idx.folded[pos]))
 	}
+	// Among equal bounds position order serves as well as any: the loop
+	// skips a candidate only when it cannot enter the answer, so the answer
+	// does not depend on the order in which candidates are aligned.
 	slices.SortFunc(cands, func(a, b boundedPos) int {
 		if a.ub != b.ub {
 			return cmp.Compare(b.ub, a.ub)
 		}
-		return cmp.Compare(idx.values[a.pos], idx.values[b.pos])
+		return cmp.Compare(a.pos, b.pos)
 	})
 
-	rows := make([]float64, 3*(maxLen+1))
+	rows := make([]int, 2*maxLen)
 	var top []Match
 	for _, c := range cands {
-		// A candidate bounded strictly below the current k-th score cannot
-		// enter the top k, and neither can any later one. An equal bound
-		// must still be scored: the lexicographic tie-break may admit it.
-		if k > 0 && len(top) == k && c.ub < top[k-1].Score {
-			break
+		need := idx.threshold
+		if k > 0 && len(top) == k {
+			// A candidate bounded strictly below the current k-th score
+			// cannot enter the top k, and neither can any later one. An
+			// equal bound must still be scored: the lexicographic
+			// tie-break may admit it.
+			if c.ub < top[k-1].Score {
+				break
+			}
+			need = max(need, top[k-1].Score)
 		}
-		s := (swg(pf, idx.folded[c.pos], idx.opts, rows) + lengthSim(pn, idx.runes[c.pos])) / 2
+		vf := idx.folded[c.pos]
+		ls := lengthSim(pn, idx.runes[c.pos])
+		sw, ok := idx.scheme.swg(pf, vf, rows, idx.cutoff(need, ls, min(len(pf), len(vf))))
+		if !ok {
+			continue
+		}
+		s := (sw + ls) / 2
 		if s < idx.threshold {
 			continue
 		}
@@ -189,6 +198,24 @@ func (idx *Index) TopK(probe string, k int) []Match {
 	return top
 }
 
+// cutoff returns the raw alignment score (scheme.align units) below which a
+// pair whose Length similarity is ls and whose shorter side has minLen runes
+// scores strictly below need, so its alignment may stop; 0, which never
+// stops, when the scheme admits no cutoff. The exact threshold
+// (2·need − ls)·minLen·match is rounded down and lowered by one more unit,
+// so float rounding in it or in the combined score can never drop a pair
+// that scores need exactly.
+func (idx *Index) cutoff(need, ls float64, minLen int) int {
+	if !idx.bounded {
+		return 0
+	}
+	x := (2*need - ls) * float64(minLen) * float64(idx.scheme.match)
+	if x <= 1 {
+		return 0
+	}
+	return int(math.Floor(x)) - 1
+}
+
 // bound returns an upper bound of the combined score of the probe (folded
 // runes pf, their sorted copy ps, rune count pn) against the value at pos,
 // computed with the same float operations as the score itself so that it
@@ -203,7 +230,7 @@ func (idx *Index) bound(pf, ps []rune, pn, pos int) float64 {
 	case len(pf) > 0 && len(vf) > 0:
 		// At most one match per aligned pair, and at most common pairs.
 		common := commonRunes(ps, idx.sorted[pos])
-		swgUB = normalizeSWG(float64(common)*idx.opts.MatchScore, min(len(pf), len(vf)), idx.opts)
+		swgUB = normalizeSWG(float64(common)*idx.scheme.opts.MatchScore, min(len(pf), len(vf)), idx.scheme.opts)
 	case len(pf) == len(vf):
 		swgUB = 1 // both empty
 	}

@@ -32,9 +32,11 @@ type CompiledCandidate struct {
 	lits []candLit
 
 	// constraints are the restriction literals of c; varConstraints[v] lists
-	// the constraint indices mentioning variable v.
-	constraints    []compiledConstraint
-	varConstraints [][]int
+	// the constraint indices mentioning variable v, and groundConstraints
+	// the indices of those mentioning none.
+	constraints       []compiledConstraint
+	varConstraints    [][]int
+	groundConstraints []int
 
 	headVars []int
 }
@@ -98,6 +100,9 @@ func CompileCandidate(c logic.Clause) *CompiledCandidate {
 	}
 	cc.varConstraints = make([][]int, len(cc.varNames))
 	for idx, con := range cc.constraints {
+		if con.l.varID < 0 && con.r.varID < 0 {
+			cc.groundConstraints = append(cc.groundConstraints, idx)
+		}
 		if con.l.varID >= 0 {
 			cc.varConstraints[con.l.varID] = append(cc.varConstraints[con.l.varID], idx)
 		}

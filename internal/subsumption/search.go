@@ -181,7 +181,7 @@ func (e *compiled) search(k int) bool {
 	}
 	e.nodes++
 	if k == len(e.lits) {
-		if !e.finalConstraintsOK(&e.b) {
+		if !e.groundConstraintsOK() {
 			return false
 		}
 		if e.path != nil && !e.repairClosureOK() {
@@ -265,18 +265,16 @@ func (e *compiled) constraintsOKFor(b *binding, v int) bool {
 	return true
 }
 
-// finalConstraintsOK re-checks every constraint at the end; constraints with
-// an unbound side are considered satisfiable (a free variable can always be
-// bound to a value making them true).
-func (e *compiled) finalConstraintsOK(b *binding) bool {
-	for i := range e.cc.constraints {
-		con := &e.cc.constraints[i]
-		lt, lok := image(b, &con.l)
-		rt, rok := image(b, &con.r)
-		if !lok || !rok {
-			continue
-		}
-		if !e.constraintHolds(con.kind, lt, rt) {
+// groundConstraintsOK checks, at a leaf, the constraints that mention no
+// variable. Every other constraint whose sides are both bound was checked
+// when its last variable was bound (constraintsOKFor, from bindLit or the
+// head binding in run), and bindings never change below that node; one
+// with an unbound side is satisfiable (a free variable can always be bound
+// to a value making it true).
+func (e *compiled) groundConstraintsOK() bool {
+	for _, ci := range e.cc.groundConstraints {
+		con := &e.cc.constraints[ci]
+		if !e.constraintHolds(con.kind, logic.Const(con.l.value), logic.Const(con.r.value)) {
 			return false
 		}
 	}
