@@ -71,7 +71,10 @@ func DefaultConfig() Config {
 }
 
 // Builder constructs (ground) bottom clauses for examples of a target
-// relation over a fixed database instance.
+// relation over a fixed database instance. The instance must not change
+// after the builder's first use: the similarity indexes, top-k_m answers and
+// row-identity tables are built lazily from it and kept for the builder's
+// lifetime. A Builder is safe for concurrent use.
 type Builder struct {
 	inst   *relation.Instance
 	target *relation.Relation
@@ -79,12 +82,29 @@ type Builder struct {
 	cfds   []constraints.CFD
 	cfg    Config
 
+	// simMu guards simIndexes and topK, so concurrent grounding
+	// (Model.Predict from several goroutines) is safe. The indexes and the
+	// memoized answers are immutable once stored.
+	simMu sync.Mutex
 	// simIndexes caches a similarity index per probed relation attribute,
-	// built on first probe; simMu guards the map so concurrent grounding
-	// (Model.Predict from several goroutines) is safe. The indexes themselves
-	// are immutable.
-	simMu      sync.Mutex
+	// built on first probe.
 	simIndexes map[relation.AttrRef]*similarity.Index
+	// topK memoizes the top-k_m answer per probed attribute and interned
+	// probe value, so it holds at most one entry of at most k_m matches per
+	// distinct value of the instance per probed attribute.
+	topK map[probeKey][]similarity.Match
+
+	// firstRows maps each relation to, per row position, the first
+	// position holding an identical row; it is built once, on first use.
+	rowsOnce  sync.Once
+	firstRows map[string][]int32
+}
+
+// probeKey identifies a top-k_m answer: the probed attribute and the
+// probe's interned ID.
+type probeKey struct {
+	ref relation.AttrRef
+	id  uint32
 }
 
 // NewBuilder creates a builder. target describes the target relation (its
@@ -109,6 +129,7 @@ func NewBuilder(inst *relation.Instance, target *relation.Relation, mds []constr
 		cfds:       cfds,
 		cfg:        cfg,
 		simIndexes: make(map[relation.AttrRef]*similarity.Index),
+		topK:       make(map[probeKey][]similarity.Match),
 	}
 }
 
@@ -171,31 +192,30 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 	}
 
 	var col collection
-	seenTuples := make(map[string]bool)
 	seenMatches := make(map[string]bool)
 	perRel := make(map[string]int)
 	schema := b.inst.Schema()
 
-	// Tuples are identified by their interned row IDs while collecting;
-	// IDs are canonical per value within the instance, so ID-row equality
-	// is exactly value equality. Rows are only materialized to strings
-	// once they are actually added to the clause.
-	var idScratch []uint32
-	var keyScratch []byte
+	// Rows are identified by the first position holding an identical row,
+	// so two positions are one tuple exactly when their values are equal.
+	// Rows are only materialized to strings once they are actually added
+	// to the clause.
+	firstRows := b.rowIdentities()
+	type rowRef struct {
+		rel   string
+		first int32
+	}
+	seenTuples := make(map[rowRef]bool)
+	seenRows := make(map[int32]bool)
 	addTuple := func(rel string, pos int) (relation.Tuple, bool) {
-		idScratch = b.inst.RowIDs(idScratch[:0], rel, pos)
-		keyScratch = append(keyScratch[:0], rel...)
-		keyScratch = append(keyScratch, 0)
-		keyScratch = appendIDKey(keyScratch, idScratch)
-		// Indexing with string(keyScratch) does not allocate; only the
-		// insertion below copies the key.
-		if seenTuples[string(keyScratch)] {
+		ref := rowRef{rel, firstRows[rel][pos]}
+		if seenTuples[ref] {
 			return relation.Tuple{}, false
 		}
 		if b.cfg.SampleSize > 0 && perRel[rel] >= b.cfg.SampleSize {
 			return relation.Tuple{}, false
 		}
-		seenTuples[string(keyScratch)] = true
+		seenTuples[ref] = true
 		perRel[rel]++
 		t := b.inst.TupleAt(rel, pos)
 		col.tuples = append(col.tuples, t)
@@ -210,10 +230,14 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 
 		for _, relName := range schema.Names() {
 			rel := schema.Relation(relName)
+			// A relation whose sample is full takes no more tuples, so its
+			// rows are not selected. Its similarity matches are still
+			// searched: each one becomes a similarity literal.
+			full := b.cfg.SampleSize > 0 && perRel[relName] >= b.cfg.SampleSize
 			var candidates []int
 
 			// Exact selection over comparable attributes: σ_{A∈M}(R).
-			for a := 0; a < rel.Arity(); a++ {
+			for a := 0; a < rel.Arity() && !full; a++ {
 				domain := rel.Attrs[a].Domain
 				for _, c := range frontier {
 					if !m[c][domain] {
@@ -242,10 +266,14 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 						}
 						switch b.cfg.MDMode {
 						case MDExact:
-							candidates = append(candidates, b.inst.SelectPositions(relName, ra, c)...)
+							if !full {
+								candidates = append(candidates, b.inst.SelectPositions(relName, ra, c)...)
+							}
 						case MDSimilarity:
 							for _, match := range b.similar(relName, ra, c) {
-								candidates = append(candidates, b.inst.SelectPositions(relName, ra, match.Value)...)
+								if !full {
+									candidates = append(candidates, b.inst.SelectPositions(relName, ra, match.Value)...)
+								}
 								if match.Value != c {
 									key := md.Name + "\x1f" + c + "\x1f" + match.Value
 									if !seenMatches[key] {
@@ -261,15 +289,24 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 				}
 			}
 
-			candidates = b.dedupPositions(relName, candidates)
+			if full {
+				continue
+			}
+			// Drop rows with values equal to an earlier candidate's,
+			// keeping first-occurrence order: the shuffle depends on it.
+			clear(seenRows)
+			kept, first := candidates[:0], firstRows[relName]
+			for _, p := range candidates {
+				if !seenRows[first[p]] {
+					seenRows[first[p]] = true
+					kept = append(kept, p)
+				}
+			}
+			candidates = kept
 			// Respect the per-relation sample size by sampling the
 			// candidates deterministically.
 			if b.cfg.SampleSize > 0 {
-				budget := b.cfg.SampleSize - perRel[relName]
-				if budget <= 0 {
-					continue
-				}
-				if len(candidates) > budget {
+				if budget := b.cfg.SampleSize - perRel[relName]; len(candidates) > budget {
 					rng.Shuffle(len(candidates), func(i, j int) {
 						candidates[i], candidates[j] = candidates[j], candidates[i]
 					})
@@ -297,8 +334,8 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 			break
 		}
 	}
-	// Keep matches only for probe/value pairs that actually appear in the
-	// clause, and order everything deterministically.
+	// Every match found is kept, whether or not a tuple holding its value
+	// was sampled; order them deterministically.
 	sort.SliceStable(col.simMatches, func(i, j int) bool {
 		a, b := col.simMatches[i], col.simMatches[j]
 		if a.MD.Name != b.MD.Name {
@@ -345,17 +382,61 @@ func (b *Builder) attrDomain(rel, attr string) string {
 }
 
 // similar returns the top-k_m values of the given relation attribute similar
-// to the probe, using a cached blocked index.
+// to the probe, using a cached blocked index. Answers for probes interned in
+// the instance are memoized; callers must not modify the returned slice.
 func (b *Builder) similar(rel string, attr int, probe string) []similarity.Match {
 	ref := relation.AttrRef{Relation: rel, Attr: attr}
+	id, interned := b.inst.Interner().Lookup(probe)
+	key := probeKey{ref, id}
 	b.simMu.Lock()
+	if interned {
+		if matches, ok := b.topK[key]; ok {
+			b.simMu.Unlock()
+			return matches
+		}
+	}
 	idx, ok := b.simIndexes[ref]
 	if !ok {
 		idx = similarity.NewIndex(b.inst.DistinctValues(rel, attr), similarity.DefaultOptions(), b.cfg.SimilarityThreshold)
 		b.simIndexes[ref] = idx
 	}
 	b.simMu.Unlock()
-	return idx.TopK(probe, b.cfg.KM)
+	// Aligning outside the lock lets two goroutines compute the same answer
+	// at once; both store equal values.
+	matches := idx.TopK(probe, b.cfg.KM)
+	if interned {
+		b.simMu.Lock()
+		b.topK[key] = matches
+		b.simMu.Unlock()
+	}
+	return matches
+}
+
+// rowIdentities returns, per relation, the first position of each row's
+// values, building the tables on first use.
+func (b *Builder) rowIdentities() map[string][]int32 {
+	b.rowsOnce.Do(func() {
+		b.firstRows = make(map[string][]int32)
+		var ids []uint32
+		var key []byte
+		for _, rel := range b.inst.Schema().Names() {
+			n := b.inst.Count(rel)
+			first := make([]int32, n)
+			byValue := make(map[string]int32, n)
+			for p := range n {
+				ids = b.inst.RowIDs(ids[:0], rel, p)
+				key = appendIDKey(key[:0], ids)
+				q, ok := byValue[string(key)]
+				if !ok {
+					q = int32(p)
+					byValue[string(key)] = q
+				}
+				first[p] = q
+			}
+			b.firstRows[rel] = first
+		}
+	})
+	return b.firstRows
 }
 
 func snapshotConstants(m map[string]map[string]bool) []string {
@@ -364,27 +445,6 @@ func snapshotConstants(m map[string]map[string]bool) []string {
 		out = append(out, c)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// dedupPositions removes rows with identical values (not merely identical
-// positions) from a candidate position list of one relation, keeping the
-// first occurrence. Rows are compared by their interned ID vectors; a key
-// string is allocated only for a row not seen before.
-func (b *Builder) dedupPositions(rel string, ps []int) []int {
-	seen := make(map[string]bool, len(ps))
-	var ids []uint32
-	var key []byte
-	out := ps[:0]
-	for _, p := range ps {
-		ids = b.inst.RowIDs(ids[:0], rel, p)
-		key = appendIDKey(key[:0], ids)
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		out = append(out, p)
-	}
 	return out
 }
 
