@@ -128,7 +128,7 @@ func TestBottomClauseCoversItsExample(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch := subsumption.New(subsumption.Options{})
-		if ok, _, _ := subsumption.CompileCandidate(c).Probe(context.Background(), ch.Prepare(g), false); !ok {
+		if ok, _ := subsumption.CompileCandidate(c).Probe(context.Background(), ch.Prepare(g), false); !ok {
 			t.Fatalf("bottom clause (useCFDs=%v) does not cover its own example:\nC = %v\nG = %v", useCFDs, c, g)
 		}
 	}

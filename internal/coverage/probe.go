@@ -38,7 +38,7 @@ func (e *Evaluator) newProbe(c logic.Clause) *probe {
 // subsumes issues one instrumented θ-subsumption probe whose work feeds the
 // plan telemetry counters.
 func (p *probe) subsumes(ctx context.Context, cc *subsumption.CompiledCandidate, prep *subsumption.Prepared, plain bool) bool {
-	ok, _, st := cc.Probe(ctx, prep, plain)
+	ok, st := cc.Probe(ctx, prep, plain)
 	p.e.addProbeStats(st)
 	return ok
 }

@@ -27,7 +27,7 @@ func TestTermConstructors(t *testing.T) {
 }
 
 func TestSubstitutionApplyAndBind(t *testing.T) {
-	s := NewSubstitution()
+	s := Substitution{}
 	s["x"] = Const("a")
 	if got := s.Apply(Var("x")); got != Const("a") {
 		t.Errorf("apply bound var = %v", got)
@@ -282,7 +282,7 @@ func TestPropertyRenameEmptySubstitutionIdentity(t *testing.T) {
 		}
 		args = append(args, Const("c"))
 		l := Rel(pred, args...)
-		return l.Rename(NewSubstitution()).Equal(l)
+		return l.Rename(Substitution{}).Equal(l)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

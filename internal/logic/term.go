@@ -64,9 +64,6 @@ func (t Term) appendKey(dst []byte) []byte {
 // clause replaces every occurrence of a bound variable with its image.
 type Substitution map[string]Term
 
-// NewSubstitution returns an empty substitution.
-func NewSubstitution() Substitution { return make(Substitution) }
-
 // Clone returns a copy of the substitution that can be extended without
 // affecting the receiver.
 func (s Substitution) Clone() Substitution {

@@ -2,6 +2,7 @@ package subsumption
 
 import (
 	"context"
+	"math"
 	"slices"
 
 	"dlearn/internal/logic"
@@ -39,6 +40,11 @@ type CompiledCandidate struct {
 	groundConstraints []int
 
 	headVars []int
+
+	// packable reports that the head and every mappable literal have at
+	// most maxPackedArity arguments, so the binding's slots can be packed
+	// and the probe can use a term index.
+	packable bool
 }
 
 // candLit is one mappable literal of the candidate: its interned
@@ -111,6 +117,8 @@ func CompileCandidate(c logic.Clause) *CompiledCandidate {
 		}
 	}
 	cc.headVars = headVarIDs(c, cc.varIndex)
+	cc.packable = len(c.Head.Args) <= maxPackedArity &&
+		!slices.ContainsFunc(cc.lits, func(l candLit) bool { return len(l.args) > maxPackedArity })
 	return cc
 }
 
@@ -131,24 +139,40 @@ type ProbeStats struct {
 
 // Probe reports whether the candidate θ-subsumes the prepared clause under
 // Definition 4.4, or classically when plain is set (no repair-literal
-// closure requirement: the test used between repaired clauses), returning the
-// substitution when it does and the probe's work statistics. A cancelled
-// search stops at its next poll and reports no subsumption, the same
-// conservative answer an exhausted node budget produces.
-func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, plain bool) (bool, logic.Substitution, ProbeStats) {
+// closure requirement: the test used between repaired clauses), and the
+// probe's work statistics. A cancelled search stops at its next poll and
+// reports no subsumption, the same conservative answer an exhausted node
+// budget produces.
+func (cc *CompiledCandidate) Probe(ctx context.Context, p *Prepared, plain bool) (bool, ProbeStats) {
+	return cc.probe(ctx, p, plain, nil)
+}
+
+// probe is Probe; when the candidate subsumes the prepared clause and theta
+// is not nil, it also writes the substitution into theta.
+func (cc *CompiledCandidate) probe(ctx context.Context, p *Prepared, plain bool, theta logic.Substitution) (bool, ProbeStats) {
 	if cc.c.Head.Pred != p.d.Head.Pred || len(cc.c.Head.Args) != len(p.d.Head.Args) {
-		return false, nil, ProbeStats{}
+		return false, ProbeStats{}
 	}
 	images, feasible := cc.imageBound(p)
 	if !feasible {
 		// A mappable literal with no image: the search cannot succeed, so
 		// no search state is built. Failing probes are the common case when
 		// scoring selective candidates.
-		return false, nil, ProbeStats{}
+		return false, ProbeStats{}
 	}
 	e := cc.against(ctx, p, plain, images)
-	ok, theta := e.run()
-	return ok, theta, ProbeStats{
+	ok := e.run()
+	if e.idx == nil && e.scanned > 0 {
+		p.scanned.Add(int64(e.scanned))
+	}
+	if ok && theta != nil {
+		for id, name := range cc.varNames {
+			if e.b.bound[id] {
+				theta[name] = e.b.terms[id]
+			}
+		}
+	}
+	return ok, ProbeStats{
 		Nodes:     e.nodes,
 		Planned:   true,
 		Exhausted: !ok && e.nodes >= e.maxNodes,
@@ -174,8 +198,9 @@ func (cc *CompiledCandidate) imageBound(prep *Prepared) (int, bool) {
 
 // against instantiates the search state of a feasible probe: the candidate
 // images of every literal in the prepared clause, collected into one backing
-// slice of capacity images, the search order over them, the binding, the
-// trail and, when the closure is checked, the search path.
+// slice of capacity images, the search order over them with each literal's
+// bound position, the binding, the trail and, when the closure is checked,
+// the search path.
 func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain bool, images int) compiled {
 	all := make([]int, 0, images)
 	lits := make([]compiledLit, len(cc.lits))
@@ -187,7 +212,7 @@ func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain 
 				all = append(all, di)
 			}
 		}
-		lits[i] = compiledLit{args: l.args, candidates: all[start:len(all):len(all)]}
+		lits[i] = compiledLit{pred: l.key, args: l.args, candidates: all[start:len(all):len(all)], key: -1}
 	}
 	nv := len(cc.varNames)
 	e := compiled{
@@ -197,13 +222,48 @@ func (cc *CompiledCandidate) against(ctx context.Context, prep *Prepared, plain 
 		// candidate images. The plan is a permutation of lits, so it can
 		// change only the node count of the search, never its outcome.
 		lits:     applyPlan(lits, planOrder(lits, nv, cc.headVars)),
-		b:        binding{terms: make([]logic.Term, nv), bound: make([]bool, nv)},
+		b:        binding{terms: make([]logic.Term, nv), bound: make([]bool, nv), slot: make([]uint32, nv)},
 		trail:    make([]int, 0, nv),
 		maxNodes: prep.maxNodes,
+		buildAt:  math.MaxInt,
 		ctx:      ctx,
 	}
 	if !plain && prep.hasRepair {
 		e.path = make([]int, len(lits))
 	}
+	if cc.packable && e.markKeys() {
+		if e.idx = prep.idx.Load(); e.idx == nil {
+			e.buildAt = indexBuildFactor*len(prep.d.Body) - int(prep.scanned.Load())
+		}
+	}
 	return e
+}
+
+// markKeys sets the bound position of every literal in search order: an
+// argument whose variable is a head variable or a variable of an earlier
+// literal, since a successful bindLit binds every variable of its literal.
+// It reports whether any literal has one. The binding's bound flags, all
+// false before the search, serve as scratch.
+func (e *compiled) markKeys() bool {
+	covered := e.b.bound
+	for _, v := range e.cc.headVars {
+		covered[v] = true
+	}
+	found := false
+	for k := range e.lits {
+		cl := &e.lits[k]
+		for i, a := range cl.args {
+			if a.varID >= 0 && covered[a.varID] {
+				cl.key, found = i, true
+				break
+			}
+		}
+		for _, a := range cl.args {
+			if a.varID >= 0 {
+				covered[a.varID] = true
+			}
+		}
+	}
+	clear(covered)
+	return found
 }

@@ -168,26 +168,26 @@ func TestProbeStatsModes(t *testing.T) {
 	prep := New(Options{}).Prepare(d)
 	cc := CompileCandidate(c)
 
-	if ok, _, st := cc.Probe(ctx, prep, false); !ok || !st.Planned || st.Exhausted || st.Nodes == 0 {
+	if ok, st := cc.Probe(ctx, prep, false); !ok || !st.Planned || st.Exhausted || st.Nodes == 0 {
 		t.Fatalf("default probe stats: ok=%v %+v", ok, st)
 	}
 
 	// Infeasible: a candidate literal with no image bails before planning.
 	cMiss := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("nope", logic.Var("x")))
-	if ok, _, st := CompileCandidate(cMiss).Probe(ctx, prep, false); ok || st.Planned || st.Exhausted || st.Nodes != 0 {
+	if ok, st := CompileCandidate(cMiss).Probe(ctx, prep, false); ok || st.Planned || st.Exhausted || st.Nodes != 0 {
 		t.Fatalf("infeasible probe stats: ok=%v %+v", ok, st)
 	}
 
 	// Exhausted: a one-node budget cannot finish any real search.
 	tiny := New(Options{MaxNodes: 1}).Prepare(d)
-	if ok, _, st := cc.Probe(ctx, tiny, false); ok || !st.Exhausted {
+	if ok, st := cc.Probe(ctx, tiny, false); ok || !st.Exhausted {
 		t.Fatalf("budget-capped probe stats: ok=%v %+v", ok, st)
 	}
 
 	// A search that succeeds on exactly its last budgeted node found its
 	// match, so it is not exhausted.
 	exact := New(Options{MaxNodes: 2}).Prepare(d)
-	if ok, _, st := cc.Probe(ctx, exact, false); !ok || st.Nodes != 2 || st.Exhausted {
+	if ok, st := cc.Probe(ctx, exact, false); !ok || st.Nodes != 2 || st.Exhausted {
 		t.Fatalf("probe succeeding on its last budgeted node: ok=%v %+v", ok, st)
 	}
 }

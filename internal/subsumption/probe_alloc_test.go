@@ -60,7 +60,7 @@ func TestBipartiteProblemAgreesWithReference(t *testing.T) {
 	} {
 		c, d := bipartiteProblem(tc.pathLen, tc.blocked...)
 		checkAgainstReference(t, ch, c, d)
-		ok, _, st := CompileCandidate(c).Probe(context.Background(), ch.Prepare(d), false)
+		ok, st := CompileCandidate(c).Probe(context.Background(), ch.Prepare(d), false)
 		if !ok || st.Nodes < tc.minNodes || st.Nodes > tc.maxNodes {
 			t.Errorf("path %d blocked %v: ok=%v nodes=%d, want true in [%d, %d]",
 				tc.pathLen, tc.blocked, ok, st.Nodes, tc.minNodes, tc.maxNodes)
@@ -77,7 +77,7 @@ func TestInfeasibleProbeAllocatesNothing(t *testing.T) {
 	prep := New(Options{}).Prepare(d)
 	cc := CompileCandidate(c)
 	ctx := context.Background()
-	if ok, _, st := cc.Probe(ctx, prep, false); ok || st != (ProbeStats{}) {
+	if ok, st := cc.Probe(ctx, prep, false); ok || st != (ProbeStats{}) {
 		t.Fatalf("infeasible probe: ok=%v %+v", ok, st)
 	}
 	if n := testing.AllocsPerRun(100, func() { cc.Probe(ctx, prep, false) }); n != 0 {
@@ -96,8 +96,8 @@ func TestProbeAllocsIndependentOfNodes(t *testing.T) {
 	deep, shallow := ch.Prepare(deepD), ch.Prepare(shallowD)
 	ctx := context.Background()
 
-	okDeep, _, stDeep := cc.Probe(ctx, deep, false)
-	okShallow, _, stShallow := cc.Probe(ctx, shallow, false)
+	okDeep, stDeep := cc.Probe(ctx, deep, false)
+	okShallow, stShallow := cc.Probe(ctx, shallow, false)
 	if !okDeep || !okShallow || stDeep.Nodes < 1000 || stShallow.Nodes > 10 {
 		t.Fatalf("deep probe ok=%v %+v, shallow probe ok=%v %+v; want both true, ≥1000 and ≤10 nodes",
 			okDeep, stDeep, okShallow, stShallow)
@@ -121,7 +121,7 @@ func BenchmarkProbeBacktracking(b *testing.B) {
 	b.ReportAllocs()
 	var nodes int
 	for b.Loop() {
-		ok, _, st := cc.Probe(ctx, prep, false)
+		ok, st := cc.Probe(ctx, prep, false)
 		if !ok {
 			b.Fatal("the path must subsume the bipartite graph through its unblocked vertex")
 		}

@@ -2,6 +2,8 @@ package subsumption
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"testing"
 
 	"dlearn/internal/logic"
@@ -160,19 +162,73 @@ func bruteClosureOK(d logic.Clause, mapped map[int]bool) bool {
 // θ-subsumption entry point) in its planned literal order, must agree with
 // the brute-force reference on the pair (c, d), in both Definition 4.4 and
 // plain modes. Plans are permutations, so any divergence is a planner or
-// search bug.
+// search bug. Every case is probed twice, once scanning candidate lists and
+// once walking the term index, and the two probes must also agree on θ,
+// Nodes and Exhausted: the index may skip only images that cannot bind.
 func checkAgainstReference(t *testing.T, ch *Checker, c, d logic.Clause) {
 	t.Helper()
 	ctx := context.Background()
-	prep := ch.Prepare(d)
+	scan, indexed := scanOnly(ch, d), withIndex(ch, d)
 	cc := CompileCandidate(c)
 	for _, plain := range []bool{false, true} {
 		want := bruteForceSubsumes(c, d, plain)
-		if got, _, _ := cc.Probe(ctx, prep, plain); got != want {
+		got, theta, st := witness(ctx, cc, scan, plain)
+		if got != want {
 			t.Fatalf("disagreement (plain=%v): brute=%v probe=%v\nc = %v\nd = %v",
 				plain, want, got, c, d)
 		}
+		if got && !mapsInto(c, d, theta) {
+			t.Fatalf("θ = %v does not map c into d (plain=%v)\nc = %v\nd = %v", theta, plain, c, d)
+		}
+		gotX, thetaX, stX := witness(ctx, cc, indexed, plain)
+		if gotX != got || !maps.Equal(thetaX, theta) || stX != st {
+			t.Fatalf("index path differs from scan (plain=%v): ok %v/%v θ %v/%v stats %+v/%+v\nc = %v\nd = %v",
+				plain, gotX, got, thetaX, theta, stX, st, c, d)
+		}
 	}
+}
+
+// scanOnly prepares d so that its probes never build a term index: they
+// scan candidate lists at every depth.
+func scanOnly(ch *Checker, d logic.Clause) *Prepared {
+	p := ch.Prepare(d)
+	p.idxOnce.Do(func() {})
+	return p
+}
+
+// withIndex prepares d with its term index built before the first probe,
+// so every literal with a bound position walks the index from the start.
+func withIndex(ch *Checker, d logic.Clause) *Prepared {
+	p := ch.Prepare(d)
+	p.index()
+	return p
+}
+
+// mapsInto reports whether θ maps the head of c onto the head of d and every
+// relation and repair literal of c onto one of d.
+func mapsInto(c, d logic.Clause, theta logic.Substitution) bool {
+	apply := func(args []logic.Term) []logic.Term {
+		out := make([]logic.Term, len(args))
+		for i, a := range args {
+			out[i] = theta.Apply(a)
+		}
+		return out
+	}
+	if !slices.Equal(apply(c.Head.Args), d.Head.Args) {
+		return false
+	}
+	for _, l := range c.Body {
+		if !l.IsRelation() && !l.IsRepair() {
+			continue
+		}
+		img := apply(l.Args)
+		if !slices.ContainsFunc(d.Body, func(dl logic.Literal) bool {
+			return (dl.IsRelation() || dl.IsRepair()) && predKey(dl) == predKey(l) && slices.Equal(dl.Args, img)
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // fuzzChecker uses a node budget generous enough that the bounded search is
@@ -382,8 +438,8 @@ func fuzzClause(s *byteSrc, maxLits int, groundBias bool) logic.Clause {
 
 // FuzzSubsumes cross-checks the optimized θ-subsumption search (a
 // CompiledCandidate probing a Prepared in planned order, plain and
-// Definition 4.4 modes) against the brute-force reference on generated
-// clause pairs.
+// Definition 4.4 modes, once scanning and once through the term index)
+// against the brute-force reference on generated clause pairs.
 func FuzzSubsumes(f *testing.F) {
 	f.Add([]byte("dlearn"))
 	f.Add([]byte("subsumption-fuzz-seed"))

@@ -1,6 +1,7 @@
 package subsumption
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,7 +19,9 @@ func randBytes(rng *rand.Rand, n int) []byte {
 
 // TestSnapshotRestoreBehavesIdentically checks the core property of the
 // persistence layer at this package's level: a Prepared restored from its
-// snapshot answers every subsumption query exactly like the original.
+// snapshot answers every subsumption query exactly like the original, before
+// and after the restored one builds its term index, which snapshots do not
+// store.
 func TestSnapshotRestoreBehavesIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ch := New(Options{MaxNodes: 1 << 20})
@@ -32,10 +35,19 @@ func TestSnapshotRestoreBehavesIdentically(t *testing.T) {
 
 		cc := CompileCandidate(c)
 		for _, plain := range []bool{false, true} {
-			got, _, _ := cc.Probe(t.Context(), restored, plain)
-			want, _, _ := cc.Probe(t.Context(), orig, plain)
+			got, _ := cc.Probe(t.Context(), restored, plain)
+			want, _ := cc.Probe(t.Context(), orig, plain)
 			if got != want {
 				t.Fatalf("case %d (plain=%v): restored probe=%v, original=%v\nc=%s\nd=%s", i, plain, got, want, c, d)
+			}
+		}
+		restored.index()
+		for _, plain := range []bool{false, true} {
+			got, gotTheta, gotSt := witness(t.Context(), cc, restored, plain)
+			want, wantTheta, wantSt := witness(t.Context(), cc, orig, plain)
+			if got != want || !maps.Equal(gotTheta, wantTheta) || gotSt != wantSt {
+				t.Fatalf("case %d (plain=%v): indexed restored probe ok=%v θ=%v %+v, original ok=%v θ=%v %+v\nc=%s\nd=%s",
+					i, plain, got, gotTheta, gotSt, want, wantTheta, wantSt, c, d)
 			}
 		}
 	}
@@ -65,7 +77,7 @@ func TestRestoreClampsMaxNodes(t *testing.T) {
 	s.MaxNodes = 0
 	p := RestorePrepared(s)
 	c := logic.NewClause(logic.Rel("p", logic.Var("x")), logic.Rel("q", logic.Var("x")))
-	if ok, _, _ := CompileCandidate(c).Probe(t.Context(), p, false); !ok {
+	if ok, _ := CompileCandidate(c).Probe(t.Context(), p, false); !ok {
 		t.Fatal("restored Prepared with zero MaxNodes cannot search")
 	}
 }

@@ -25,8 +25,19 @@ func subsumesPlain(ch *Checker, c, d logic.Clause) (bool, logic.Substitution) {
 }
 
 func probeClauses(ctx context.Context, ch *Checker, c, d logic.Clause, plain bool) (bool, logic.Substitution) {
-	ok, theta, _ := CompileCandidate(c).Probe(ctx, ch.Prepare(d), plain)
+	ok, theta, _ := witness(ctx, CompileCandidate(c), ch.Prepare(d), plain)
 	return ok, theta
+}
+
+// witness probes p with cc like Probe and also returns the substitution θ
+// the search found (nil when cc does not subsume p), which Probe discards.
+func witness(ctx context.Context, cc *CompiledCandidate, p *Prepared, plain bool) (bool, logic.Substitution, ProbeStats) {
+	theta := logic.Substitution{}
+	ok, st := cc.probe(ctx, p, plain, theta)
+	if !ok {
+		theta = nil
+	}
+	return ok, theta, st
 }
 
 // equivalent reports whether a and b are θ-equivalent (each subsumes the
