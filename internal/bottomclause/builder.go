@@ -9,9 +9,10 @@
 package bottomclause
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -72,9 +73,9 @@ func DefaultConfig() Config {
 
 // Builder constructs (ground) bottom clauses for examples of a target
 // relation over a fixed database instance. The instance must not change
-// after the builder's first use: the similarity indexes, top-k_m answers and
-// row-identity tables are built lazily from it and kept for the builder's
-// lifetime. A Builder is safe for concurrent use.
+// after the builder's first use: the builder's plan (row identities, value
+// ranks, similarity indexes and top-k_m answers) is built lazily from it and
+// kept for the builder's lifetime. A Builder is safe for concurrent use.
 type Builder struct {
 	inst   *relation.Instance
 	target *relation.Relation
@@ -82,29 +83,81 @@ type Builder struct {
 	cfds   []constraints.CFD
 	cfg    Config
 
-	// simMu guards simIndexes and topK, so concurrent grounding
-	// (Model.Predict from several goroutines) is safe. The indexes and the
-	// memoized answers are immutable once stored.
-	simMu sync.Mutex
-	// simIndexes caches a similarity index per probed relation attribute,
-	// built on first probe.
-	simIndexes map[relation.AttrRef]*similarity.Index
-	// topK memoizes the top-k_m answer per probed attribute and interned
-	// probe value, so it holds at most one entry of at most k_m matches per
-	// distinct value of the instance per probed attribute.
-	topK map[probeKey][]similarity.Match
-
-	// firstRows maps each relation to, per row position, the first
-	// position holding an identical row; it is built once, on first use.
-	rowsOnce  sync.Once
-	firstRows map[string][]int32
+	// planOnce builds plan on first use.
+	planOnce sync.Once
+	plan     *plan
 }
 
-// probeKey identifies a top-k_m answer: the probed attribute and the
-// probe's interned ID.
-type probeKey struct {
-	ref relation.AttrRef
-	id  uint32
+// plan is the part of Algorithm 2 that depends on the instance, the target
+// and the MDs but not on the example, on interned value IDs. It is O(distinct
+// values + rows) and belongs to one builder.
+type plan struct {
+	// domains is the number of dense domain indexes: one per distinct
+	// domain name of a target attribute, a relation attribute or an MD's
+	// left side.
+	domains int
+	// targetDoms is the domain index of each target attribute.
+	targetDoms []int
+	// rels lists the schema's relations in schema order.
+	rels []relPlan
+	// rows is the number of rows over all relations, maxRows the largest
+	// relation's.
+	rows, maxRows int
+	// rank is the position of every interned value of the instance in
+	// string order, so constants sort as their strings do.
+	rank []uint32
+}
+
+// relPlan is one relation's part of the plan.
+type relPlan struct {
+	name string
+	// doms is the domain index of each attribute.
+	doms []int
+	// steps are the MD-guided searches ψ_{B≈M}(R) into the relation, in the
+	// order of activeMDs and of each MD's compared pairs.
+	steps []mdStep
+	// first maps each row position to the first position holding an
+	// identical row, so two positions are one tuple exactly when their
+	// values are equal.
+	first []int32
+	// offset numbers the relation's rows after those of the relations
+	// before it, for the per-example set of taken rows.
+	offset int
+}
+
+// mdStep is one compared pair of an MD whose right side is the step's
+// relation: constants of the left side's domain probe the right attribute.
+type mdStep struct {
+	md constraints.MD
+	// name indexes md.Name among the MD names: an MD and its reverse share
+	// it, as they share the name their similarity matches are keyed by.
+	name int
+	// attr is the probed (right) attribute and leftDom the domain index of
+	// the compared left attribute.
+	attr, leftDom int
+	// probe holds the similarity index and top-k_m memo of (relation, attr),
+	// shared by every step probing that attribute.
+	probe *probed
+}
+
+// probed is the similarity index of one probed relation attribute, built on
+// first probe, and its memo of top-k_m answers per interned probe value: at
+// most one entry of at most k_m matches per distinct value of the instance.
+// mu guards both, so concurrent grounding (Model.Predict from several
+// goroutines) is safe; the index and the memoized answers are immutable once
+// stored.
+type probed struct {
+	rel  string
+	attr int
+	mu   sync.Mutex
+	idx  *similarity.Index
+	topK map[uint32][]match
+}
+
+// match is a top-k_m answer with the interned ID of its value.
+type match struct {
+	similarity.Match
+	id uint32
 }
 
 // NewBuilder creates a builder. target describes the target relation (its
@@ -122,24 +175,18 @@ func NewBuilder(inst *relation.Instance, target *relation.Relation, mds []constr
 	if cfg.SimilarityThreshold <= 0 {
 		cfg.SimilarityThreshold = DefaultConfig().SimilarityThreshold
 	}
-	return &Builder{
-		inst:       inst,
-		target:     target,
-		mds:        mds,
-		cfds:       cfds,
-		cfg:        cfg,
-		simIndexes: make(map[relation.AttrRef]*similarity.Index),
-		topK:       make(map[probeKey][]similarity.Match),
-	}
+	return &Builder{inst: inst, target: target, mds: mds, cfds: cfds, cfg: cfg}
 }
 
 // simMatch records one approximate match found through an MD: probe value c
-// (from the MD's left side) matched value v in the right relation.
+// (from the MD's left side) matched value v in the right relation. probe and
+// value are their IDs in collect's M, which orders the matches.
 type simMatch struct {
-	MD    constraints.MD
-	Probe string
-	Value string
-	Score float64
+	MD           constraints.MD
+	Probe        string
+	Value        string
+	Score        float64
+	probe, value uint32
 }
 
 // collection is the result of the relevant-tuple search for one example.
@@ -168,121 +215,88 @@ func (b *Builder) GroundBottomClause(example relation.Tuple) (logic.Clause, erro
 	return b.buildClause(example, col, true), nil
 }
 
-// collect implements the relevant-tuple search of Algorithm 2.
+// matchKey identifies a similarity match: the MD name's index, the probe's
+// ID and the matched value's ID.
+type matchKey struct {
+	name         int
+	probe, value uint32
+}
+
+// rowRef is a row position of the plan's relation rel.
+type rowRef struct {
+	rel, pos int
+}
+
+// collect implements the relevant-tuple search of Algorithm 2 on interned
+// value IDs. Rounds are naive: each one walks all of M, not only the
+// constants the previous round added, because under SampleSize the rows
+// taken earlier still hold slots in the shuffle that samples a relation's
+// candidates.
 func (b *Builder) collect(example relation.Tuple) (collection, error) {
 	if len(example.Values) != b.target.Arity() {
 		return collection{}, fmt.Errorf("bottomclause: example arity %d does not match target %s", len(example.Values), b.target)
 	}
-	rng := rand.New(rand.NewSource(b.cfg.Seed ^ int64(hashString(seedKey(example)))))
-
-	// M: known constants annotated with the domains they were seen in.
-	m := make(map[string]map[string]bool)
-	addConst := func(v, domain string) bool {
-		if m[v] == nil {
-			m[v] = make(map[string]bool)
-		}
-		if m[v][domain] {
-			return false
-		}
-		m[v][domain] = true
-		return true
-	}
+	p := b.loadPlan()
+	m := newConstants(p, b.inst.Interner())
 	for i, v := range example.Values {
-		addConst(v, b.target.Attrs[i].Domain)
+		m.add(m.id(v), p.targetDoms[i])
 	}
+	m.merge()
 
-	var col collection
-	seenMatches := make(map[string]bool)
-	perRel := make(map[string]int)
-	schema := b.inst.Schema()
-
-	// Rows are identified by the first position holding an identical row,
-	// so two positions are one tuple exactly when their values are equal.
-	// Rows are only materialized to strings once they are actually added
-	// to the clause.
-	firstRows := b.rowIdentities()
-	type rowRef struct {
-		rel   string
-		first int32
-	}
-	seenTuples := make(map[rowRef]bool)
-	seenRows := make(map[int32]bool)
-	addTuple := func(rel string, pos int) (relation.Tuple, bool) {
-		ref := rowRef{rel, firstRows[rel][pos]}
-		if seenTuples[ref] {
-			return relation.Tuple{}, false
-		}
-		if b.cfg.SampleSize > 0 && perRel[rel] >= b.cfg.SampleSize {
-			return relation.Tuple{}, false
-		}
-		seenTuples[ref] = true
-		perRel[rel]++
-		t := b.inst.TupleAt(rel, pos)
-		col.tuples = append(col.tuples, t)
-		return t, true
-	}
-
-	mds := b.activeMDs()
-
+	var (
+		col         collection
+		seenMatches = make(map[matchKey]bool)
+		// The rng is seeded on the first shuffle, its only use.
+		rng        *rand.Rand
+		candidates []int
+		added      []rowRef
+		ids        []uint32
+		perRel     = make([]int, len(p.rels))
+		// taken holds the rows (by identity) added to the clause, dup the
+		// identities already among a relation's candidates this round.
+		taken = newBitset(p.rows)
+		dup   = newBitset(p.maxRows)
+	)
 	for iter := 0; iter < b.cfg.Iterations; iter++ {
-		frontier := snapshotConstants(m)
-		var added []relation.Tuple
-
-		for _, relName := range schema.Names() {
-			rel := schema.Relation(relName)
+		added = added[:0]
+		for r := range p.rels {
+			rp := &p.rels[r]
 			// A relation whose sample is full takes no more tuples, so its
 			// rows are not selected. Its similarity matches are still
 			// searched: each one becomes a similarity literal.
-			full := b.cfg.SampleSize > 0 && perRel[relName] >= b.cfg.SampleSize
-			var candidates []int
+			full := b.cfg.SampleSize > 0 && perRel[r] >= b.cfg.SampleSize
+			candidates = candidates[:0]
 
 			// Exact selection over comparable attributes: σ_{A∈M}(R).
-			for a := 0; a < rel.Arity() && !full; a++ {
-				domain := rel.Attrs[a].Domain
-				for _, c := range frontier {
-					if !m[c][domain] {
-						continue
-					}
-					candidates = append(candidates, b.inst.SelectPositions(relName, a, c)...)
+			for a := 0; a < len(rp.doms) && !full; a++ {
+				for _, c := range m.byDomain[rp.doms[a]] {
+					candidates = append(candidates, b.inst.SelectPositions(rp.name, a, c)...)
 				}
 			}
 
 			// MD-guided search: ψ_{B≈M}(R) (similarity) or exact joins over
 			// the MD's compared attributes, depending on the mode.
-			for _, md := range mds {
-				if md.RightRel != relName {
-					continue
-				}
-				rIdx := md.RightAttrIndexes(schema)
-				for k, pair := range md.Similar {
-					leftDomain := b.attrDomain(md.LeftRel, pair.Left)
-					ra := rIdx[k]
-					if ra < 0 {
-						continue
-					}
-					for _, c := range frontier {
-						if !m[c][leftDomain] {
-							continue
+			for _, st := range rp.steps {
+				for _, c := range m.byDomain[st.leftDom] {
+					switch b.cfg.MDMode {
+					case MDExact:
+						if !full {
+							candidates = append(candidates, b.inst.SelectPositions(rp.name, st.attr, c)...)
 						}
-						switch b.cfg.MDMode {
-						case MDExact:
+					case MDSimilarity:
+						for _, mt := range b.similar(st.probe, m, c) {
 							if !full {
-								candidates = append(candidates, b.inst.SelectPositions(relName, ra, c)...)
+								candidates = append(candidates, b.inst.SelectPositions(rp.name, st.attr, mt.id)...)
 							}
-						case MDSimilarity:
-							for _, match := range b.similar(relName, ra, c) {
-								if !full {
-									candidates = append(candidates, b.inst.SelectPositions(relName, ra, match.Value)...)
-								}
-								if match.Value != c {
-									key := md.Name + "\x1f" + c + "\x1f" + match.Value
-									if !seenMatches[key] {
-										seenMatches[key] = true
-										col.simMatches = append(col.simMatches, simMatch{
-											MD: md, Probe: c, Value: match.Value, Score: match.Score,
-										})
-									}
-								}
+							if mt.id == c {
+								continue
+							}
+							key := matchKey{st.name, c, mt.id}
+							if !seenMatches[key] {
+								seenMatches[key] = true
+								col.simMatches = append(col.simMatches, simMatch{
+									MD: st.md, Probe: m.value(c), Value: mt.Value, Score: mt.Score, probe: c, value: mt.id,
+								})
 							}
 						}
 					}
@@ -294,38 +308,48 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 			}
 			// Drop rows with values equal to an earlier candidate's,
 			// keeping first-occurrence order: the shuffle depends on it.
-			clear(seenRows)
-			kept, first := candidates[:0], firstRows[relName]
-			for _, p := range candidates {
-				if !seenRows[first[p]] {
-					seenRows[first[p]] = true
-					kept = append(kept, p)
+			kept := candidates[:0]
+			for _, pos := range candidates {
+				if dup.testAndSet(int(rp.first[pos])) {
+					kept = append(kept, pos)
 				}
 			}
-			candidates = kept
+			for _, pos := range kept {
+				dup.clear(int(rp.first[pos]))
+			}
 			// Respect the per-relation sample size by sampling the
 			// candidates deterministically.
 			if b.cfg.SampleSize > 0 {
-				if budget := b.cfg.SampleSize - perRel[relName]; len(candidates) > budget {
-					rng.Shuffle(len(candidates), func(i, j int) {
-						candidates[i], candidates[j] = candidates[j], candidates[i]
+				if budget := b.cfg.SampleSize - perRel[r]; len(kept) > budget {
+					if rng == nil {
+						rng = rand.New(rand.NewSource(b.cfg.Seed ^ int64(hashString(seedKey(example)))))
+					}
+					rng.Shuffle(len(kept), func(i, j int) {
+						kept[i], kept[j] = kept[j], kept[i]
 					})
-					candidates = candidates[:budget]
+					kept = kept[:budget]
 				}
 			}
-			for _, p := range candidates {
-				if t, ok := addTuple(relName, p); ok {
-					added = append(added, t)
+			for _, pos := range kept {
+				if b.cfg.SampleSize > 0 && perRel[r] >= b.cfg.SampleSize {
+					break
 				}
+				if !taken.testAndSet(rp.offset + int(rp.first[pos])) {
+					continue
+				}
+				perRel[r]++
+				col.tuples = append(col.tuples, b.inst.TupleAt(rp.name, pos))
+				added = append(added, rowRef{r, pos})
 			}
 		}
 
-		// Extract new constants from the tuples added this round.
+		// Extract new constants from the rows added this round.
 		grew := false
-		for _, t := range added {
-			rel := schema.Relation(t.Relation)
-			for a, v := range t.Values {
-				if addConst(v, rel.Attrs[a].Domain) {
+		for _, a := range added {
+			rp := &p.rels[a.rel]
+			ids = b.inst.RowIDs(ids[:0], rp.name, a.pos)
+			for i, id := range ids {
+				if m.add(id, rp.doms[i]) {
 					grew = true
 				}
 			}
@@ -333,20 +357,115 @@ func (b *Builder) collect(example relation.Tuple) (collection, error) {
 		if !grew && len(added) == 0 {
 			break
 		}
+		m.merge()
 	}
 	// Every match found is kept, whether or not a tuple holding its value
-	// was sampled; order them deterministically.
-	sort.SliceStable(col.simMatches, func(i, j int) bool {
-		a, b := col.simMatches[i], col.simMatches[j]
-		if a.MD.Name != b.MD.Name {
-			return a.MD.Name < b.MD.Name
+	// was sampled; order them deterministically, by MD name, then probe
+	// and value in string order.
+	slices.SortStableFunc(col.simMatches, func(x, y simMatch) int {
+		if c := strings.Compare(x.MD.Name, y.MD.Name); c != 0 {
+			return c
 		}
-		if a.Probe != b.Probe {
-			return a.Probe < b.Probe
+		if c := m.compare(x.probe, y.probe); c != 0 {
+			return c
 		}
-		return a.Value < b.Value
+		return m.compare(x.value, y.value)
 	})
 	return col, nil
+}
+
+// loadPlan returns the builder's plan, building it on first use.
+func (b *Builder) loadPlan() *plan {
+	b.planOnce.Do(func() { b.plan = b.newPlan() })
+	return b.plan
+}
+
+// newPlan resolves the schema, the target and the MDs to dense indexes and
+// computes the row identities and value ranks of the instance.
+func (b *Builder) newPlan() *plan {
+	schema := b.inst.Schema()
+	domains := make(map[string]int)
+	domain := func(name string) int {
+		i, ok := domains[name]
+		if !ok {
+			i = len(domains)
+			domains[name] = i
+		}
+		return i
+	}
+	names := make(map[string]int)
+	probes := make(map[relation.AttrRef]*probed)
+	mds := b.activeMDs()
+
+	p := &plan{}
+	for _, a := range b.target.Attrs {
+		p.targetDoms = append(p.targetDoms, domain(a.Domain))
+	}
+	var ids []uint32
+	var key []byte
+	for _, name := range schema.Names() {
+		rel := schema.Relation(name)
+		rp := relPlan{name: name, doms: make([]int, rel.Arity()), offset: p.rows}
+		for a, attr := range rel.Attrs {
+			rp.doms[a] = domain(attr.Domain)
+		}
+		for _, md := range mds {
+			if md.RightRel != name {
+				continue
+			}
+			rIdx := md.RightAttrIndexes(schema)
+			for k, pair := range md.Similar {
+				ra := rIdx[k]
+				if ra < 0 {
+					continue
+				}
+				ni, ok := names[md.Name]
+				if !ok {
+					ni = len(names)
+					names[md.Name] = ni
+				}
+				ref := relation.AttrRef{Relation: name, Attr: ra}
+				pr := probes[ref]
+				if pr == nil {
+					pr = &probed{rel: name, attr: ra, topK: make(map[uint32][]match)}
+					probes[ref] = pr
+				}
+				rp.steps = append(rp.steps, mdStep{
+					md: md, name: ni, attr: ra, leftDom: domain(b.attrDomain(md.LeftRel, pair.Left)), probe: pr,
+				})
+			}
+		}
+
+		n := b.inst.Count(name)
+		rp.first = make([]int32, n)
+		byValue := make(map[string]int32, n)
+		for pos := range n {
+			ids = b.inst.RowIDs(ids[:0], name, pos)
+			key = appendIDKey(key[:0], ids)
+			q, ok := byValue[string(key)]
+			if !ok {
+				q = int32(pos)
+				byValue[string(key)] = q
+			}
+			rp.first[pos] = q
+		}
+		p.rows += n
+		p.maxRows = max(p.maxRows, n)
+		p.rels = append(p.rels, rp)
+	}
+	p.domains = len(domains)
+
+	intern := b.inst.Interner()
+	order := make([]uint32, intern.Len())
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return strings.Compare(intern.Value(x), intern.Value(y)) })
+	p.rank = make([]uint32, len(order))
+	for r, id := range order {
+		p.rank[id] = uint32(r)
+	}
+	return p
 }
 
 // activeMDs returns the MDs in both orientations (similarity search may have
@@ -381,72 +500,174 @@ func (b *Builder) attrDomain(rel, attr string) string {
 	return ""
 }
 
-// similar returns the top-k_m values of the given relation attribute similar
-// to the probe, using a cached blocked index. Answers for probes interned in
-// the instance are memoized; callers must not modify the returned slice.
-func (b *Builder) similar(rel string, attr int, probe string) []similarity.Match {
-	ref := relation.AttrRef{Relation: rel, Attr: attr}
-	id, interned := b.inst.Interner().Lookup(probe)
-	key := probeKey{ref, id}
-	b.simMu.Lock()
+// similar returns the top-k_m values of the probed attribute similar to
+// constant c of M, using the attribute's blocked index. Answers for probes
+// interned in the instance are memoized; callers must not modify the
+// returned slice.
+func (b *Builder) similar(pr *probed, m *constants, c uint32) []match {
+	interned := m.interned(c)
+	pr.mu.Lock()
 	if interned {
-		if matches, ok := b.topK[key]; ok {
-			b.simMu.Unlock()
-			return matches
+		if ms, ok := pr.topK[c]; ok {
+			pr.mu.Unlock()
+			return ms
 		}
 	}
-	idx, ok := b.simIndexes[ref]
-	if !ok {
-		idx = similarity.NewIndex(b.inst.DistinctValues(rel, attr), similarity.DefaultOptions(), b.cfg.SimilarityThreshold)
-		b.simIndexes[ref] = idx
+	if pr.idx == nil {
+		pr.idx = similarity.NewIndex(b.inst.DistinctValues(pr.rel, pr.attr), similarity.DefaultOptions(), b.cfg.SimilarityThreshold)
 	}
-	b.simMu.Unlock()
+	idx := pr.idx
+	pr.mu.Unlock()
 	// Aligning outside the lock lets two goroutines compute the same answer
 	// at once; both store equal values.
-	matches := idx.TopK(probe, b.cfg.KM)
+	found := idx.TopK(m.value(c), b.cfg.KM)
+	ms := make([]match, len(found))
+	for i, f := range found {
+		// The index holds the attribute's values, so every match is
+		// interned.
+		id, _ := b.inst.Interner().Lookup(f.Value)
+		ms[i] = match{Match: f, id: id}
+	}
 	if interned {
-		b.simMu.Lock()
-		b.topK[key] = matches
-		b.simMu.Unlock()
+		pr.mu.Lock()
+		pr.topK[c] = ms
+		pr.mu.Unlock()
 	}
-	return matches
+	return ms
 }
 
-// rowIdentities returns, per relation, the first position of each row's
-// values, building the tables on first use.
-func (b *Builder) rowIdentities() map[string][]int32 {
-	b.rowsOnce.Do(func() {
-		b.firstRows = make(map[string][]int32)
-		var ids []uint32
-		var key []byte
-		for _, rel := range b.inst.Schema().Names() {
-			n := b.inst.Count(rel)
-			first := make([]int32, n)
-			byValue := make(map[string]int32, n)
-			for p := range n {
-				ids = b.inst.RowIDs(ids[:0], rel, p)
-				key = appendIDKey(key[:0], ids)
-				q, ok := byValue[string(key)]
-				if !ok {
-					q = int32(p)
-					byValue[string(key)] = q
-				}
-				first[p] = q
-			}
-			b.firstRows[rel] = first
+// constants is M of Algorithm 2 for one example, on value IDs: the domains
+// each constant was seen in, and per domain the constants seen in it in
+// string order. Walking a domain's list gives a round's sorted frontier
+// filtered by that domain. Example values the instance never interned get
+// overlay IDs from len(rank) on; they compare as strings and select no rows.
+type constants struct {
+	rank    []uint32
+	intern  *relation.Interner
+	overlay []string
+	// words is the size in uint64s of a constant's domain set, a bitset
+	// over domain indexes; slot gives the offset of each constant's set in
+	// doms.
+	words int
+	slot  map[uint32]int
+	doms  []uint64
+	// byDomain lists, per domain, the constants of M in string order as of
+	// the last merge; fresh holds what was added since.
+	byDomain [][]uint32
+	fresh    []domConst
+}
+
+// domConst is a constant newly seen in a domain.
+type domConst struct {
+	dom int
+	id  uint32
+}
+
+func newConstants(p *plan, intern *relation.Interner) *constants {
+	return &constants{
+		rank:     p.rank,
+		intern:   intern,
+		words:    (p.domains + 63) / 64,
+		slot:     make(map[uint32]int),
+		byDomain: make([][]uint32, p.domains),
+	}
+}
+
+// id returns the ID of an example value: its interned ID, or an overlay ID.
+func (m *constants) id(v string) uint32 {
+	if id, ok := m.intern.Lookup(v); ok {
+		return id
+	}
+	for i, o := range m.overlay {
+		if o == v {
+			return uint32(len(m.rank) + i)
 		}
-	})
-	return b.firstRows
+	}
+	m.overlay = append(m.overlay, v)
+	return uint32(len(m.rank) + len(m.overlay) - 1)
 }
 
-func snapshotConstants(m map[string]map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
+func (m *constants) interned(id uint32) bool { return int(id) < len(m.rank) }
+
+func (m *constants) value(id uint32) string {
+	if m.interned(id) {
+		return m.intern.Value(id)
 	}
-	sort.Strings(out)
-	return out
+	return m.overlay[int(id)-len(m.rank)]
 }
+
+// compare orders constants as their strings.
+func (m *constants) compare(x, y uint32) int {
+	if m.interned(x) && m.interned(y) {
+		return cmp.Compare(m.rank[x], m.rank[y])
+	}
+	return strings.Compare(m.value(x), m.value(y))
+}
+
+// add records that constant id was seen in domain dom and reports whether
+// that is new.
+func (m *constants) add(id uint32, dom int) bool {
+	s, ok := m.slot[id]
+	if !ok {
+		s = len(m.doms)
+		m.slot[id] = s
+		m.doms = append(m.doms, make([]uint64, m.words)...)
+	}
+	w, bit := &m.doms[s+dom/64], uint64(1)<<(dom%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	m.fresh = append(m.fresh, domConst{dom, id})
+	return true
+}
+
+// merge moves the constants added since the last merge into their domains'
+// lists, keeping each list in string order.
+func (m *constants) merge() {
+	slices.SortFunc(m.fresh, func(x, y domConst) int {
+		if x.dom != y.dom {
+			return x.dom - y.dom
+		}
+		return m.compare(x.id, y.id)
+	})
+	for i := 0; i < len(m.fresh); {
+		dom, j := m.fresh[i].dom, i
+		for j < len(m.fresh) && m.fresh[j].dom == dom {
+			j++
+		}
+		old := m.byDomain[dom]
+		merged := make([]uint32, 0, len(old)+j-i)
+		k := 0
+		for _, f := range m.fresh[i:j] {
+			for k < len(old) && m.compare(old[k], f.id) < 0 {
+				merged = append(merged, old[k])
+				k++
+			}
+			merged = append(merged, f.id)
+		}
+		m.byDomain[dom] = append(merged, old[k:]...)
+		i = j
+	}
+	m.fresh = m.fresh[:0]
+}
+
+// bitset is a fixed-size set of small non-negative integers.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// testAndSet adds i and reports whether it was absent.
+func (s bitset) testAndSet(i int) bool {
+	w, bit := &s[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+func (s bitset) clear(i int) { s[i/64] &^= uint64(1) << (i % 64) }
 
 // appendIDKey appends the little-endian bytes of the IDs to dst, forming a
 // collision-free map key for a row of interned values.

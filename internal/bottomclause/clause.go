@@ -1,7 +1,8 @@
 package bottomclause
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"dlearn/internal/constraints"
 	"dlearn/internal/logic"
@@ -31,12 +32,25 @@ func (b *Builder) buildClause(example relation.Tuple, col collection, ground boo
 		return t
 	}
 
+	var sims []simMatch
+	if b.cfg.MDMode == MDSimilarity {
+		sims = col.simMatches
+	}
+	// The relation literal of the k-th collected tuple sits at body index
+	// len(sims)*4 + k, so the CFD violations among them can be located before
+	// the body is built, and the body allocated once.
+	schema := b.inst.Schema()
+	violations := b.cfdViolations(col.tuples, 4*len(sims))
+
 	// Head literal.
 	headArgs := make([]logic.Term, len(example.Values))
 	for i, v := range example.Values {
 		headArgs[i] = term(v, b.target.Attrs[i].Constant)
 	}
-	clause := logic.Clause{Head: logic.Rel(b.target.Name, headArgs...)}
+	clause := logic.Clause{
+		Head: logic.Rel(b.target.Name, headArgs...),
+		Body: make([]logic.Literal, 0, 4*len(sims)+len(col.tuples)+cfdViolationLiterals*len(violations)),
+	}
 
 	// Similarity literals and MD repair groups (Section 3.2): for each
 	// approximate match probe ≈ value, add probe ≈ value, V(probe, f1),
@@ -45,30 +59,20 @@ func (b *Builder) buildClause(example relation.Tuple, col collection, ground boo
 	// clause prefixes already carry the similarity join constraints when the
 	// relation literals are considered (the blocking-literal test of
 	// Section 4.2 examines prefixes in body order).
-	if b.cfg.MDMode == MDSimilarity {
-		for i, sm := range col.simMatches {
-			pt, vt := term(sm.Probe, false), term(sm.Value, false)
-			cond := logic.Condition{Op: logic.CondSim, L: pt, R: vt}
-			group := fmt.Sprintf("%s#%d", sm.MD.Name, i)
-			f1, f2 := fresh.Fresh(), fresh.Fresh()
-			clause.Body = append(clause.Body,
-				logic.Sim(pt, vt),
-				logic.RepairInGroup(sm.MD.Name, group, logic.OriginMD, pt, f1, cond),
-				logic.RepairInGroup(sm.MD.Name, group, logic.OriginMD, vt, f2, cond),
-				logic.Eq(f1, f2),
-			)
-		}
+	for i, sm := range sims {
+		pt, vt := term(sm.Probe, false), term(sm.Value, false)
+		cond := logic.Condition{Op: logic.CondSim, L: pt, R: vt}
+		group := sm.MD.Name + "#" + strconv.Itoa(i)
+		f1, f2 := fresh.Fresh(), fresh.Fresh()
+		clause.Body = append(clause.Body,
+			logic.Sim(pt, vt),
+			logic.RepairInGroup(sm.MD.Name, group, logic.OriginMD, pt, f1, cond),
+			logic.RepairInGroup(sm.MD.Name, group, logic.OriginMD, vt, f2, cond),
+			logic.Eq(f1, f2),
+		)
 	}
 
-	// Relation literals, one per collected tuple. Remember, per relation,
-	// the body index and term list of each literal so CFD violations can be
-	// located afterwards.
-	schema := b.inst.Schema()
-	type bodyLit struct {
-		index int
-		tuple relation.Tuple
-	}
-	byRel := make(map[string][]bodyLit)
+	// Relation literals, one per collected tuple.
 	for _, t := range col.tuples {
 		rel := schema.Relation(t.Relation)
 		args := make([]logic.Term, len(t.Values))
@@ -76,55 +80,67 @@ func (b *Builder) buildClause(example relation.Tuple, col collection, ground boo
 			args[i] = term(v, rel.Attrs[i].Constant)
 		}
 		clause.Body = append(clause.Body, logic.Rel(t.Relation, args...))
-		byRel[t.Relation] = append(byRel[t.Relation], bodyLit{index: len(clause.Body) - 1, tuple: t})
 	}
 
-	// CFD repair groups (Section 4.1): for every pair of collected tuples of
-	// one relation that violate a CFD, add the four alternative repair
-	// groups — break either left-hand-side occurrence with a fresh variable,
-	// or unify the right-hand side in either direction (the minimal-repair
-	// form that reuses existing variables).
-	if b.cfg.UseCFDs {
-		violationID := 0
-		for _, cfd := range b.cfds {
-			lits := byRel[cfd.Relation]
-			if len(lits) < 2 {
-				continue
-			}
-			lhs := cfd.LHSIndexes(schema)
-			rhs := cfd.RHSIndex(schema)
-			if rhs < 0 || len(lhs) == 0 {
-				continue
-			}
-			valid := true
-			for _, i := range lhs {
-				if i < 0 {
-					valid = false
+	for id, v := range violations {
+		b.addCFDViolation(&clause, v.cfd, v.li, v.lj, v.lhs, v.rhs, fresh, id)
+	}
+	return clause
+}
+
+// cfdViolation is a violation of a CFD between the body literals at indices
+// li and lj, on left-hand-side position lhs and right-hand-side position
+// rhs.
+type cfdViolation struct {
+	cfd              constraints.CFD
+	li, lj, lhs, rhs int
+}
+
+// cfdViolationLiterals is the number of body literals addCFDViolation adds.
+const cfdViolationLiterals = 9
+
+// cfdViolations lists the CFD violations among the collected tuples, whose
+// relation literals start at body index base, in the order their repair
+// groups are numbered (Section 4.1): every pair of collected tuples of one
+// relation that violate a CFD with different right-hand-side values. Each
+// gets four alternative repair groups (addCFDViolation).
+func (b *Builder) cfdViolations(tuples []relation.Tuple, base int) []cfdViolation {
+	if !b.cfg.UseCFDs || len(b.cfds) == 0 {
+		return nil
+	}
+	schema := b.inst.Schema()
+	byRel := make(map[string][]int)
+	for k, t := range tuples {
+		byRel[t.Relation] = append(byRel[t.Relation], k)
+	}
+	var out []cfdViolation
+	for _, cfd := range b.cfds {
+		lits := byRel[cfd.Relation]
+		if len(lits) < 2 {
+			continue
+		}
+		lhs := cfd.LHSIndexes(schema)
+		rhs := cfd.RHSIndex(schema)
+		if rhs < 0 || len(lhs) == 0 || slices.Min(lhs) < 0 {
+			continue
+		}
+		for i := 0; i < len(lits); i++ {
+			for j := i + 1; j < len(lits); j++ {
+				t1, t2 := tuples[lits[i]], tuples[lits[j]]
+				if !cfd.TupleViolates(schema, t1, t2) {
+					continue
 				}
-			}
-			if !valid {
-				continue
-			}
-			for i := 0; i < len(lits); i++ {
-				for j := i + 1; j < len(lits); j++ {
-					t1, t2 := lits[i].tuple, lits[j].tuple
-					if !cfd.TupleViolates(schema, t1, t2) {
-						continue
-					}
-					if t1.Values[rhs] == t2.Values[rhs] {
-						// Constant-pattern-only violation; value modification
-						// to the pattern constant is handled at the instance
-						// level, not with clause repair literals.
-						continue
-					}
-					b.addCFDViolation(&clause, cfd, lits[i].index, lits[j].index, lhs[0], rhs, fresh, violationID)
-					violationID++
+				if t1.Values[rhs] == t2.Values[rhs] {
+					// Constant-pattern-only violation; value modification
+					// to the pattern constant is handled at the instance
+					// level, not with clause repair literals.
+					continue
 				}
+				out = append(out, cfdViolation{cfd: cfd, li: base + lits[i], lj: base + lits[j], lhs: lhs[0], rhs: rhs})
 			}
 		}
 	}
-
-	return clause
+	return out
 }
 
 // addCFDViolation appends the repair machinery for one CFD violation between
@@ -162,26 +178,24 @@ func (b *Builder) addCFDViolation(clause *logic.Clause, cfd constraints.CFD, li,
 		{Op: logic.CondEq, L: x1, R: x2},
 		{Op: logic.CondNeq, L: z, R: t},
 	}
-	mk := func(kind string) string {
-		return fmt.Sprintf("%s#%d#%s", cfd.Name, violationID, kind)
-	}
+	group := cfd.Name + "#" + strconv.Itoa(violationID) + "#"
 
 	// Alternative 1 and 2: modify one of the LHS occurrences to a fresh
 	// value, breaking the agreement.
 	f1 := fresh.Fresh()
 	clause.Body = append(clause.Body,
-		logic.RepairInGroup(cfd.Name, mk("lhs1"), logic.OriginCFD, x1, f1, cond...),
+		logic.RepairInGroup(cfd.Name, group+"lhs1", logic.OriginCFD, x1, f1, cond...),
 		logic.Neq(f1, x2),
 	)
 	f2 := fresh.Fresh()
 	clause.Body = append(clause.Body,
-		logic.RepairInGroup(cfd.Name, mk("lhs2"), logic.OriginCFD, x2, f2, cond...),
+		logic.RepairInGroup(cfd.Name, group+"lhs2", logic.OriginCFD, x2, f2, cond...),
 		logic.Neq(f2, x1),
 	)
 	// Alternative 3 and 4: unify the RHS values (minimal repair reusing the
 	// existing terms, Section 4.1).
 	clause.Body = append(clause.Body,
-		logic.RepairInGroup(cfd.Name, mk("rhs1"), logic.OriginCFD, z, t, cond...),
-		logic.RepairInGroup(cfd.Name, mk("rhs2"), logic.OriginCFD, t, z, cond...),
+		logic.RepairInGroup(cfd.Name, group+"rhs1", logic.OriginCFD, z, t, cond...),
+		logic.RepairInGroup(cfd.Name, group+"rhs2", logic.OriginCFD, t, z, cond...),
 	)
 }

@@ -189,8 +189,9 @@ func clauseHash(t *testing.T, b *bottomclause.Builder, examples []relation.Tuple
 }
 
 // TestBuilderConcurrentFill grounds the same tuples from four goroutines on
-// one fresh builder, so its similarity indexes, top-k_m memo and row-identity
-// tables fill concurrently, and checks every clause against a serial run.
+// one fresh builder, released together so they race to build its plan (row
+// identities, value ranks) and then fill its similarity indexes and top-k_m
+// memo concurrently, and checks every clause against a serial run.
 func TestBuilderConcurrentFill(t *testing.T) {
 	p := generatedProblems(t)[0]
 	cfg := bottomclause.DefaultConfig()
@@ -208,11 +209,13 @@ func TestBuilderConcurrentFill(t *testing.T) {
 		want[i] = g.String()
 	}
 	shared := newBuilder()
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			// Each goroutine starts at a different tuple so the fills
 			// interleave on different keys as well as the same ones.
 			for k := range p.examples {
@@ -229,5 +232,6 @@ func TestBuilderConcurrentFill(t *testing.T) {
 			}
 		}()
 	}
+	close(start)
 	wg.Wait()
 }

@@ -12,6 +12,7 @@ package logic
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -126,7 +127,7 @@ func NewVarCounter(prefix string) *VarCounter {
 
 // Fresh returns the next unused variable term.
 func (c *VarCounter) Fresh() Term {
-	t := Var(fmt.Sprintf("%s%d", c.pfx, c.next))
+	t := Var(c.pfx + strconv.Itoa(c.next))
 	c.next++
 	return t
 }

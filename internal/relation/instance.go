@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Tuple is one row of a relation. Values are stored as strings regardless of
@@ -69,20 +71,55 @@ func (t Tuple) String() string {
 // relData is the columnar storage of one relation: one []uint32 column per
 // attribute (interned value IDs, indexed by row position) plus a per-attribute
 // hash index from value ID to row positions.
+//
+// The index is built on the first read that needs it (a selection or
+// DistinctValues), not on Insert, so an instance that is generated and
+// never queried pays nothing for it. Once built, Insert, ReplaceValue and
+// SetValueAt keep it up to date. indexed is the publication flag of the
+// double-checked build: concurrent readers may race to build it (the
+// single-writer model allows any number of readers), mu serializes them.
 type relData struct {
-	rows  int
-	cols  [][]uint32
-	index []map[uint32][]int
+	rows    int
+	cols    [][]uint32
+	mu      sync.Mutex
+	indexed atomic.Bool
+	index   []map[uint32][]int
+}
+
+// ensureIndex returns the per-attribute index, building it from the
+// columns on first use. A scan lists each value's positions in row order,
+// which is the order incremental maintenance produces for an instance that
+// has only been inserted into; the mutations build the index before they
+// first rewrite a value, so the orders they produce are kept.
+func (rd *relData) ensureIndex() []map[uint32][]int {
+	if rd.indexed.Load() {
+		return rd.index
+	}
+	rd.mu.Lock()
+	defer rd.mu.Unlock()
+	if !rd.indexed.Load() {
+		rd.index = make([]map[uint32][]int, len(rd.cols))
+		for a, col := range rd.cols {
+			idx := make(map[uint32][]int)
+			for p, id := range col {
+				idx[id] = append(idx[id], p)
+			}
+			rd.index[a] = idx
+		}
+		rd.indexed.Store(true)
+	}
+	return rd.index
 }
 
 // Instance is an in-memory database instance of a schema. Values are interned
 // to dense uint32 IDs through a per-instance Interner and tuples are stored
 // as columnar per-attribute ID arrays. A per-relation, per-attribute hash
-// index from value ID to row positions answers the selections σ_{A∈M}(R)
-// issued by bottom-clause construction (Algorithm 2) without scanning, and
-// duplicate probes and selections compare integers instead of hashing
-// strings. The public API stays string-based; ID-level accessors
-// (SelectPositions, RowIDs, TupleAt) expose the interned layer to hot paths.
+// index from value ID to row positions, built on first read, answers the
+// selections σ_{A∈M}(R) issued by bottom-clause construction (Algorithm 2)
+// without scanning, and duplicate probes and selections compare integers
+// instead of hashing strings. The public API stays string-based; ID-level
+// accessors (SelectPositions, RowIDs, TupleAt) expose the interned layer to
+// hot paths.
 type Instance struct {
 	schema *Schema
 	intern *Interner
@@ -109,13 +146,7 @@ func (in *Instance) Interner() *Interner { return in.intern }
 func (in *Instance) data(rel string, arity int) *relData {
 	rd := in.rels[rel]
 	if rd == nil {
-		rd = &relData{
-			cols:  make([][]uint32, arity),
-			index: make([]map[uint32][]int, arity),
-		}
-		for a := 0; a < arity; a++ {
-			rd.index[a] = make(map[uint32][]int)
-		}
+		rd = &relData{cols: make([][]uint32, arity)}
 		in.rels[rel] = rd
 	}
 	return rd
@@ -133,10 +164,13 @@ func (in *Instance) Insert(rel string, values ...string) error {
 	}
 	rd := in.data(rel, r.Arity())
 	pos := rd.rows
+	indexed := rd.indexed.Load()
 	for a, v := range values {
 		id := in.intern.Intern(v)
 		rd.cols[a] = append(rd.cols[a], id)
-		rd.index[a][id] = append(rd.index[a][id], pos)
+		if indexed {
+			rd.index[a][id] = append(rd.index[a][id], pos)
+		}
 	}
 	rd.rows++
 	return nil
@@ -204,37 +238,35 @@ func (in *Instance) TotalTuples() int {
 }
 
 // SelectPositions returns the row positions of rel whose attribute at
-// position attr equals value, using the ID-keyed hash index. The returned
-// slice is owned by the instance and must not be modified.
-func (in *Instance) SelectPositions(rel string, attr int, value string) []int {
+// position attr holds the interned value id, using the ID-keyed hash index.
+// An id the instance never assigned selects nothing. The returned slice is
+// owned by the instance and must not be modified.
+func (in *Instance) SelectPositions(rel string, attr int, id uint32) []int {
 	rd := in.rels[rel]
-	if rd == nil || attr < 0 || attr >= len(rd.index) {
+	if rd == nil || attr < 0 || attr >= len(rd.cols) {
 		return nil
 	}
-	id, ok := in.intern.Lookup(value)
-	if !ok {
-		return nil
-	}
-	return rd.index[attr][id]
+	return rd.ensureIndex()[attr][id]
 }
 
 // DistinctValues returns the distinct values of an attribute, sorted.
 func (in *Instance) DistinctValues(rel string, attr int) []string {
 	rd := in.rels[rel]
-	if rd == nil || attr < 0 || attr >= len(rd.index) {
+	if rd == nil || attr < 0 || attr >= len(rd.cols) {
 		return nil
 	}
-	out := make([]string, 0, len(rd.index[attr]))
-	for id := range rd.index[attr] {
+	idx := rd.ensureIndex()[attr]
+	out := make([]string, 0, len(idx))
+	for id := range idx {
 		out = append(out, in.intern.Value(id))
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Clone returns a deep copy of the instance (interner, columns and indexes).
-// Repairs and baselines that modify data operate on clones so the original
-// dirty instance is preserved.
+// Clone returns a deep copy of the instance (interner, columns and, where
+// built, indexes). Repairs and baselines that modify data operate on clones
+// so the original dirty instance is preserved.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		schema: in.schema,
@@ -243,16 +275,21 @@ func (in *Instance) Clone() *Instance {
 	}
 	for rel, rd := range in.rels {
 		nrd := &relData{
-			rows:  rd.rows,
-			cols:  make([][]uint32, len(rd.cols)),
-			index: make([]map[uint32][]int, len(rd.index)),
+			rows: rd.rows,
+			cols: make([][]uint32, len(rd.cols)),
 		}
 		for a := range rd.cols {
 			nrd.cols[a] = append([]uint32(nil), rd.cols[a]...)
-			nrd.index[a] = make(map[uint32][]int, len(rd.index[a]))
-			for id, positions := range rd.index[a] {
-				nrd.index[a][id] = append([]int(nil), positions...)
+		}
+		if rd.indexed.Load() {
+			nrd.index = make([]map[uint32][]int, len(rd.index))
+			for a := range rd.index {
+				nrd.index[a] = make(map[uint32][]int, len(rd.index[a]))
+				for id, positions := range rd.index[a] {
+					nrd.index[a][id] = append([]int(nil), positions...)
+				}
 			}
+			nrd.indexed.Store(true)
 		}
 		out.rels[rel] = nrd
 	}
@@ -265,14 +302,17 @@ func (in *Instance) Clone() *Instance {
 // MDs and repairing CFD violations on materialized instances.
 func (in *Instance) ReplaceValue(rel string, attr int, old, new string) int {
 	rd := in.rels[rel]
-	if rd == nil || attr < 0 || attr >= len(rd.index) || old == new {
+	if rd == nil || attr < 0 || attr >= len(rd.cols) || old == new {
 		return 0
 	}
 	oldID, ok := in.intern.Lookup(old)
 	if !ok {
 		return 0
 	}
-	positions := rd.index[attr][oldID]
+	// The old positions go after the new value's: the index must exist
+	// before the rewrite, since a scan would list them in row order.
+	index := rd.ensureIndex()
+	positions := index[attr][oldID]
 	if len(positions) == 0 {
 		return 0
 	}
@@ -280,8 +320,8 @@ func (in *Instance) ReplaceValue(rel string, attr int, old, new string) int {
 	for _, p := range positions {
 		rd.cols[attr][p] = newID
 	}
-	delete(rd.index[attr], oldID)
-	rd.index[attr][newID] = append(rd.index[attr][newID], positions...)
+	delete(index[attr], oldID)
+	index[attr][newID] = append(index[attr][newID], positions...)
 	return len(positions)
 }
 
@@ -301,9 +341,12 @@ func (in *Instance) SetValueAt(rel string, pos, attr int, value string) error {
 	if oldID == newID {
 		return nil
 	}
+	// Build the index before the rewrite: pos moves to the end of the new
+	// value's entry, which a later scan would not reproduce.
+	index := rd.ensureIndex()
 	rd.cols[attr][pos] = newID
 	// Remove pos from the old index entry, preserving the order of the rest.
-	entry := rd.index[attr][oldID]
+	entry := index[attr][oldID]
 	for i, p := range entry {
 		if p == pos {
 			entry = append(entry[:i], entry[i+1:]...)
@@ -311,11 +354,11 @@ func (in *Instance) SetValueAt(rel string, pos, attr int, value string) error {
 		}
 	}
 	if len(entry) == 0 {
-		delete(rd.index[attr], oldID)
+		delete(index[attr], oldID)
 	} else {
-		rd.index[attr][oldID] = entry
+		index[attr][oldID] = entry
 	}
-	rd.index[attr][newID] = append(rd.index[attr][newID], pos)
+	index[attr][newID] = append(index[attr][newID], pos)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -196,7 +197,7 @@ func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 		arity := in.Schema().Relation(rel).Arity()
 		for attr := 0; attr < arity; attr++ {
 			for _, v := range fuzzValues {
-				g, w := in.SelectPositions(rel, attr, v), ref.selectPositions(rel, attr, v)
+				g, w := selectValue(in, rel, attr, v), ref.selectPositions(rel, attr, v)
 				if len(g) != len(w) {
 					t.Fatalf("%s.SelectPositions(%d, %q): %v vs %v", rel, attr, v, g, w)
 				}
@@ -208,6 +209,9 @@ func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 						t.Fatalf("%s.TupleAt(%d) = %v, want %v", rel, g[i], tp, ref.tuples[rel][w[i]])
 					}
 				}
+			}
+			if g := in.SelectPositions(rel, attr, uint32(in.Interner().Len())); g != nil {
+				t.Fatalf("%s.SelectPositions(%d) of an unassigned ID = %v", rel, attr, g)
 			}
 			gd, wd := in.DistinctValues(rel, attr), ref.distinctValues(rel, attr)
 			if len(gd) != len(wd) {
@@ -225,102 +229,136 @@ func assertParity(t *testing.T, in *Instance, ref *boxedInstance) {
 	}
 }
 
-// FuzzInstanceParity drives random insert/rewrite/clone sequences through
-// the interned columnar Instance and the boxed reference in lockstep,
-// asserting identical answers after every step and identical full state at
-// the end. Every mutation result (insert errors, rewrite counts) must match
-// too.
+// selectValue answers σ_{attr=value}(rel) through the ID-keyed selection: a
+// value the instance never interned selects nothing.
+func selectValue(in *Instance, rel string, attr int, value string) []int {
+	id, ok := in.Interner().Lookup(value)
+	if !ok {
+		return nil
+	}
+	return in.SelectPositions(rel, attr, id)
+}
+
+// runProgram drives a program of 4-byte steps (op, x, y, z) through the
+// interned columnar Instance and the boxed reference in lockstep. Every
+// mutation result (insert errors, rewrite counts) must match. After a step
+// whose z has its high bit clear the whole observable state is compared,
+// which builds every index; steps with the bit set read nothing, so
+// mutations and clones also run on instances whose indexes were never built.
+// The full state is compared at the end, on the instance and on a clone.
+func runProgram(t *testing.T, program []byte) {
+	t.Helper()
+	in := NewInstance(fuzzSchema())
+	ref := newBoxedInstance(fuzzSchema())
+	for i := 0; i+3 < len(program); i += 4 {
+		op, x, y, z := program[i], program[i+1], program[i+2], program[i+3]
+		switch op % 6 {
+		case 0: // insert into r
+			err1 := in.Insert("r", fuzzVal(x), fuzzVal(y))
+			err2 := ref.insert("r", fuzzVal(x), fuzzVal(y))
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("step %d: Insert r: err %v vs %v", i, err1, err2)
+			}
+		case 1: // insert into s
+			err1 := in.Insert("s", fuzzVal(x))
+			err2 := ref.insert("s", fuzzVal(x))
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("step %d: Insert s: err %v vs %v", i, err1, err2)
+			}
+		case 2: // replace a value in s
+			n1 := in.ReplaceValue("s", 0, fuzzVal(x), fuzzVal(y))
+			n2 := ref.replaceValue("s", 0, fuzzVal(x), fuzzVal(y))
+			if n1 != n2 {
+				t.Fatalf("step %d: ReplaceValue s %q->%q: %d vs %d", i, fuzzVal(x), fuzzVal(y), n1, n2)
+			}
+		case 3: // replace a value in r
+			attr := int(z) % 2
+			n1 := in.ReplaceValue("r", attr, fuzzVal(x), fuzzVal(y))
+			n2 := ref.replaceValue("r", attr, fuzzVal(x), fuzzVal(y))
+			if n1 != n2 {
+				t.Fatalf("step %d: ReplaceValue r attr %d %q->%q: %d vs %d", i, attr, fuzzVal(x), fuzzVal(y), n1, n2)
+			}
+		case 4: // point rewrite in r (positions may be out of range)
+			pos, attr := int(x)%8, int(z)%3-1
+			err1 := in.SetValueAt("r", pos, attr, fuzzVal(y))
+			err2 := ref.setValueAt("r", pos, attr, fuzzVal(y))
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("step %d: SetValueAt r %d/%d: err %v vs %v", i, pos, attr, err1, err2)
+			}
+		case 5: // clone and keep using the clone
+			in = in.Clone()
+		}
+		if z&0x80 == 0 {
+			assertParity(t, in, ref)
+		}
+	}
+	// A clone taken before any final read must hold the same state.
+	assertParity(t, in.Clone(), ref)
+	assertParity(t, in, ref)
+}
+
+// FuzzInstanceParity drives random insert/rewrite/clone/read sequences
+// through the interned columnar Instance and the boxed reference (see
+// runProgram).
 func FuzzInstanceParity(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(bytes.Repeat([]byte{1, 5, 9, 2, 250, 13}, 20))
 	f.Add([]byte("\x00\x05\x1f\x05\x1f\x02\x03\x04\x01\x02\x03\x04\x05\x06\x07"))
-	f.Fuzz(func(t *testing.T, program []byte) {
-		in := NewInstance(fuzzSchema())
-		ref := newBoxedInstance(fuzzSchema())
-		for i := 0; i+3 < len(program); i += 4 {
-			op, x, y, z := program[i], program[i+1], program[i+2], program[i+3]
-			switch op % 6 {
-			case 0: // insert into r
-				err1 := in.Insert("r", fuzzVal(x), fuzzVal(y))
-				err2 := ref.insert("r", fuzzVal(x), fuzzVal(y))
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("Insert r: err %v vs %v", err1, err2)
-				}
-			case 1: // insert into s
-				err1 := in.Insert("s", fuzzVal(x))
-				err2 := ref.insert("s", fuzzVal(x))
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("Insert s: err %v vs %v", err1, err2)
-				}
-			case 2: // replace a value in s
-				n1 := in.ReplaceValue("s", 0, fuzzVal(x), fuzzVal(y))
-				n2 := ref.replaceValue("s", 0, fuzzVal(x), fuzzVal(y))
-				if n1 != n2 {
-					t.Fatalf("ReplaceValue s %q->%q: %d vs %d", fuzzVal(x), fuzzVal(y), n1, n2)
-				}
-			case 3: // replace a value in r
-				attr := int(z) % 2
-				n1 := in.ReplaceValue("r", attr, fuzzVal(x), fuzzVal(y))
-				n2 := ref.replaceValue("r", attr, fuzzVal(x), fuzzVal(y))
-				if n1 != n2 {
-					t.Fatalf("ReplaceValue r attr %d %q->%q: %d vs %d", attr, fuzzVal(x), fuzzVal(y), n1, n2)
-				}
-			case 4: // point rewrite in r (positions may be out of range)
-				pos, attr := int(x)%8, int(z)%3-1
-				err1 := in.SetValueAt("r", pos, attr, fuzzVal(y))
-				err2 := ref.setValueAt("r", pos, attr, fuzzVal(y))
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("SetValueAt r %d/%d: err %v vs %v", pos, attr, err1, err2)
-				}
-			case 5: // clone and keep using the clone
-				in = in.Clone()
-			}
-			assertParity(t, in, ref)
-		}
-		// Cloning at the end must preserve parity too.
-		assertParity(t, in.Clone(), ref)
-	})
+	f.Add(bytes.Repeat([]byte{0, 5, 9, 0x81, 3, 5, 11, 0x80, 5, 0, 0, 0x80, 4, 1, 6, 0x81}, 4))
+	f.Fuzz(runProgram)
 }
 
 // TestInstanceParityReplay runs the fuzz body over fixed adversarial
 // programs so the differential check always executes under plain `go test`
-// (fuzz corpora only run when fuzzing is requested explicitly).
+// (fuzz corpora only run when fuzzing is requested explicitly). The first
+// three read after every step; the others read nothing before their
+// mutations and clones, or read only between them.
 func TestInstanceParityReplay(t *testing.T) {
 	programs := [][]byte{
 		bytes.Repeat([]byte{0, 5, 9, 1, 2, 5, 9, 0, 3, 5, 11, 0, 4, 1, 6, 1, 5, 0, 0, 0}, 6),
 		[]byte("\x00\x05\x1f\x05\x1f\x02\x03\x04\x01\x02\x03\x04\x05\x06\x07\x08"),
 		bytes.Repeat([]byte{2, 4, 4, 0, 3, 4, 7, 1, 0, 4, 4, 0}, 10),
+		// Inserts, a clone of the unindexed instance, then rewrites.
+		bytes.Repeat([]byte{0, 5, 9, 0x81, 1, 4, 0, 0x80, 0, 4, 5, 0x80, 5, 0, 0, 0x80, 3, 5, 11, 0x80, 4, 1, 6, 0x81}, 3),
+		// Rewrites on instances never read, then inserts after the rewrite
+		// built the index.
+		bytes.Repeat([]byte{0, 1, 2, 0x80, 0, 2, 1, 0x80, 1, 1, 0, 0x80, 2, 1, 3, 0x80, 4, 0, 5, 0x82, 0, 3, 1, 0x80}, 4),
+		// Reads in between: a read, inserts into the indexed instance, a
+		// clone, rewrites.
+		bytes.Repeat([]byte{0, 1, 2, 0x80, 1, 1, 0, 0, 0, 1, 7, 0x80, 5, 0, 0, 0x80, 3, 1, 8, 0x80, 1, 2, 0, 0}, 4),
+		// r = (a a) (b a) (a a), never read; rewrite b to a in the first
+		// attribute, so a's entry is [0 2 1], not row order; then clone.
+		{0, 1, 1, 0x80, 0, 2, 1, 0x80, 0, 1, 1, 0x80, 3, 2, 1, 0x80, 5, 0, 0, 0x80},
 	}
 	for i, program := range programs {
-		in := NewInstance(fuzzSchema())
-		ref := newBoxedInstance(fuzzSchema())
-		for j := 0; j+3 < len(program); j += 4 {
-			op, x, y, z := program[j], program[j+1], program[j+2], program[j+3]
-			switch op % 6 {
-			case 0:
-				_ = in.Insert("r", fuzzVal(x), fuzzVal(y))
-				_ = ref.insert("r", fuzzVal(x), fuzzVal(y))
-			case 1:
-				_ = in.Insert("s", fuzzVal(x))
-				_ = ref.insert("s", fuzzVal(x))
-			case 2:
-				if in.ReplaceValue("s", 0, fuzzVal(x), fuzzVal(y)) != ref.replaceValue("s", 0, fuzzVal(x), fuzzVal(y)) {
-					t.Fatalf("program %d step %d: ReplaceValue s diverged", i, j)
-				}
-			case 3:
-				attr := int(z) % 2
-				if in.ReplaceValue("r", attr, fuzzVal(x), fuzzVal(y)) != ref.replaceValue("r", attr, fuzzVal(x), fuzzVal(y)) {
-					t.Fatalf("program %d step %d: ReplaceValue diverged", i, j)
-				}
-			case 4:
-				pos, attr := int(x)%8, int(z)%3-1
-				_ = in.SetValueAt("r", pos, attr, fuzzVal(y))
-				_ = ref.setValueAt("r", pos, attr, fuzzVal(y))
-			case 5:
-				in = in.Clone()
+		t.Run(fmt.Sprint(i), func(t *testing.T) { runProgram(t, program) })
+	}
+}
+
+// TestConcurrentFirstReads races the first selections, DistinctValues calls
+// and clones of a freshly inserted instance, so its indexes are built under
+// concurrent readers (run under -race), and checks every answer.
+func TestConcurrentFirstReads(t *testing.T) {
+	in := NewInstance(fuzzSchema())
+	ref := newBoxedInstance(fuzzSchema())
+	for i := range 64 {
+		x, y := fuzzVal(byte(i)), fuzzVal(byte(i*7+3))
+		in.MustInsert("r", x, y)
+		_ = ref.insert("r", x, y)
+		in.MustInsert("s", y)
+		_ = ref.insert("s", y)
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w%2 == 1 {
+				assertParity(t, in.Clone(), ref)
 			}
 			assertParity(t, in, ref)
-		}
+		}()
 	}
+	wg.Wait()
 }

@@ -55,17 +55,17 @@ func TestInstanceInsertAndSelect(t *testing.T) {
 	if in.Count("movies") != 2 || in.TotalTuples() != 4 {
 		t.Fatalf("counts wrong: %d %d", in.Count("movies"), in.TotalTuples())
 	}
-	got := in.SelectPositions("mov2genres", 1, "comedy")
+	got := selectValue(in, "mov2genres", 1, "comedy")
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("SelectPositions comedy = %v, want [0 1]", got)
 	}
 	if tp := in.TupleAt("mov2genres", got[1]); !tp.Equal(NewTuple("mov2genres", "m2", "comedy")) {
 		t.Fatalf("TupleAt(%d) = %v", got[1], tp)
 	}
-	if len(in.SelectPositions("movies", 0, "m3")) != 0 {
+	if len(selectValue(in, "movies", 0, "m3")) != 0 {
 		t.Fatal("SelectPositions miss should return nothing")
 	}
-	if len(in.SelectPositions("movies", 9, "m1")) != 0 {
+	if len(selectValue(in, "movies", 9, "m1")) != 0 {
 		t.Fatal("SelectPositions with bad attribute index should return nothing")
 	}
 }
@@ -113,10 +113,10 @@ func TestInstanceReplaceValue(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("ReplaceValue should rewrite 2 fields, got %d", n)
 	}
-	if len(in.SelectPositions("movies", 1, "Bait")) != 0 {
+	if len(selectValue(in, "movies", 1, "Bait")) != 0 {
 		t.Fatal("old value still indexed")
 	}
-	if len(in.SelectPositions("movies", 1, "Bait (fixed)")) != 2 {
+	if len(selectValue(in, "movies", 1, "Bait (fixed)")) != 2 {
 		t.Fatal("new value not indexed")
 	}
 	if in.ReplaceValue("movies", 1, "missing", "x") != 0 {
@@ -136,7 +136,7 @@ func TestInstanceSetValueAt(t *testing.T) {
 	if in.Tuples("movies")[0].Values[2] != "2008" {
 		t.Fatal("SetValueAt did not update the tuple")
 	}
-	if len(in.SelectPositions("movies", 2, "2007")) != 0 || len(in.SelectPositions("movies", 2, "2008")) != 1 {
+	if len(selectValue(in, "movies", 2, "2007")) != 0 || len(selectValue(in, "movies", 2, "2008")) != 1 {
 		t.Fatal("SetValueAt did not maintain the index")
 	}
 	if err := in.SetValueAt("movies", 5, 0, "x"); err == nil {
@@ -199,7 +199,7 @@ func TestPropertySelectMatchesLinearScan(t *testing.T) {
 					want++
 				}
 			}
-			if len(in.SelectPositions("mov2genres", 1, g)) != want {
+			if len(selectValue(in, "mov2genres", 1, g)) != want {
 				return false
 			}
 		}

@@ -25,7 +25,7 @@ func TestPredInternerConcurrent(t *testing.T) {
 			for k := 0; k < keys; k++ {
 				// Rotate the visit order per worker so first-intern races happen.
 				i := (k + w*17) % keys
-				ids[i] = predKeys.id(fmt.Sprintf("concurrent-intern-test/%d", i))
+				ids[i] = predKeys.id(predicateKey{pred: fmt.Sprintf("concurrent-intern-test/%d", i)})
 			}
 			results[w] = ids
 		}(w)

@@ -50,14 +50,21 @@ type Checker struct {
 // New returns a checker with the given options.
 func New(opts Options) *Checker { return &Checker{Opts: opts} }
 
-// predKey distinguishes relation literals by predicate and repair literals by
-// their kind, origin and dependency name, so MD repair literals only map to
-// MD repair literals of the same dependency.
-func predKey(l logic.Literal) string {
+// predicateKey distinguishes relation literals by predicate and repair
+// literals by their kind, origin and dependency name, so MD repair literals
+// only map to MD repair literals of the same dependency.
+type predicateKey struct {
+	repair bool
+	origin logic.RepairOrigin
+	pred   string
+}
+
+// predKey returns the predicate key of a literal.
+func predKey(l logic.Literal) predicateKey {
 	if l.IsRepair() {
-		return "V#" + l.Origin.String() + "#" + l.Pred
+		return predicateKey{repair: true, origin: l.Origin, pred: l.Pred}
 	}
-	return "R#" + l.Pred
+	return predicateKey{pred: l.Pred}
 }
 
 // unionFind is a minimal union-find over terms used to build the equality
